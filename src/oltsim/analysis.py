@@ -1,11 +1,12 @@
 """Separability testing, angle optimization, and verification campaigns.
 
 The positive-partial-transpose test is conclusive for two-qubit states and is
-reported as PPT/NPT only beyond that. The optimizer is seeded multi-restart
-coordinate descent with golden-section line searches, deterministic for a
-fixed seed. The factorization campaign confronts the direct and factorized
-correlator routes on randomized inputs; their agreement is an algebraic
-identity, so the campaign must pass for every seed.
+reported as PPT/NPT only beyond that. The optimizer is a seeded multi-restart
+see-saw on the ancilla's Pauli correlation tensor: the functional is linear in
+each party's Bloch vectors, so every party's best response has a closed form.
+It is deterministic for a fixed seed. The factorization campaign confronts
+the direct and factorized correlator routes on randomized inputs; their
+agreement is an algebraic identity, so the campaign must pass for every seed.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import BellFunctional, evaluate
-from .gates import SO2, SU2, AngleSetting, _su2_matrix, pauli, rotation_so2
-from .linalg import dag
+from .gates import SO2, SU2, AngleSetting, observables_from_bloch, setting_from_bloch
+from .linalg import _LETTERS, ATOL, dag
 from .protocol import (
     apply_olts,
     assemble,
     correlation_direct,
     correlation_factorized,
+    correlation_tensor,
     correlator_table,
     reduced_system,
     table_from_observables,
-    z_string,
 )
 from .states import (
     DensityMatrix,
@@ -102,54 +103,6 @@ class OptimizationResult:
     converged: bool
 
 
-def _angles_per_setting(mode: str) -> int:
-    if mode == SO2:
-        return 1
-    if mode == SU2:
-        return 3
-    raise ValueError(f"mode must be '{SO2}' or '{SU2}', got {mode!r}")
-
-
-def _observable_from_angles(mode: str, angles: np.ndarray) -> np.ndarray:
-    r = rotation_so2(angles[0]) if mode == SO2 else _su2_matrix(*angles)
-    return dag(r) @ pauli(3) @ r
-
-
-_INVPHI = (math.sqrt(5) - 1) / 2
-
-
-def _golden_max(f, lo: float, hi: float, xtol: float = 3e-8):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _line_max(f, x0: float, fx0: float):
-    # coarse scan over one full period, then golden-section refinement of the
-    # best bracket; the objective restricted to one angle is a sinusoid plus a
-    # constant, possibly under an absolute value
-    step = math.pi / 4
-    candidates = [x0 + k * step for k in range(-4, 4)]
-    values = [f(x) for x in candidates]
-    best = int(np.argmax(values))
-    x, fx = _golden_max(f, candidates[best] - step, candidates[best] + step)
-    if fx > fx0:
-        return x, fx
-    return x0, fx0
-
-
 def optimize_angles(
     system: DensityMatrix,
     ancilla: DensityMatrix,
@@ -160,17 +113,27 @@ def optimize_angles(
     max_sweeps: int = 200,
     sweep_tol: float = 1e-12,
 ) -> OptimizationResult:
-    """Maximize |functional value| over all parties' measurement angles.
+    """Maximize |functional value| over all parties' measurement settings.
 
-    Settings are evaluated through the factorized correlator route. Each
-    restart draws uniform starting angles and runs coordinate descent with a
-    golden-section line search per angle until a full sweep improves the
-    objective by less than `sweep_tol` (or the sweep cap is reached). The
-    returned best value is recomputed from the returned settings through the
-    public evaluation path.
+    A setting enters a correlator only through the unit Bloch vector of its
+    measured observable, so the functional is sum_s c[s] T(v_1[s_1], ...,
+    v_N[s_N]) times the system parity expectation, with T the ancilla's Pauli
+    correlation tensor. Each restart draws uniform random vectors and runs
+    see-saw sweeps: party k's vectors become v <- G/|G|, where G contracts
+    the coefficients and T with the other parties' vectors (projected onto
+    the xz plane in so2 mode; a zero row keeps its vector). Sweeps stop when
+    one gains less than `sweep_tol` in the value, evaluated through
+    `table_from_observables`, or after `max_sweeps`. Maximizing the signed
+    value suffices: flipping one party's vectors flips its sign. The best
+    vectors come back as settings (phi = 0 in su2 mode), and the returned
+    best value is recomputed from them through the public evaluation path.
     """
     if budget < 1:
         raise ValueError(f"restart budget must be >= 1, got {budget}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if mode not in (SO2, SU2):
+        raise ValueError(f"mode must be '{SO2}' or '{SU2}', got {mode!r}")
     n = system.n_qubits
     if ancilla.n_qubits != n:
         raise ValueError(
@@ -181,64 +144,47 @@ def optimize_angles(
         raise ValueError(
             f"functional has {len(ms)} parties but the states have {n}"
         )
-    per = _angles_per_setting(mode)
-    n_coords = per * sum(ms)
     coeff = functional.coefficients
-    sys_factor = float(np.einsum("ij,ji->", z_string(n), system.matrix).real)
-
-    # angle vector layout: party-major, then setting, then angle component
-    slices = []
-    offset = 0
-    for m in ms:
-        row = []
-        for _ in range(m):
-            row.append(slice(offset, offset + per))
-            offset += per
-        slices.append(row)
-
-    def objective(vec: np.ndarray) -> float:
-        stacks = [
-            np.stack([_observable_from_angles(mode, vec[sl]) for sl in row])
-            for row in slices
-        ]
-        table = sys_factor * table_from_observables(ancilla, stacks)
-        return abs(float(np.sum(coeff * table)))
+    tensor = correlation_tensor(ancilla)
+    plane = np.array([1.0, 0.0, 1.0]) if mode == SO2 else np.ones(3)
+    # G for party k: coefficients over settings s_j, T over axes x_j, and every
+    # other party's (settings, axes) vectors, leaving (s_k, x_k)
+    s_idx, x_idx = _LETTERS[:n], _LETTERS[n : 2 * n]
+    gradient_subs = [
+        ",".join([s_idx, x_idx] + [s_idx[j] + x_idx[j] for j in range(n) if j != k])
+        + "->" + s_idx[k] + x_idx[k]
+        for k in range(n)
+    ]
 
     rng = np.random.default_rng(seed)
-    best_vec = None
+    best_vectors = None
     best_val = -math.inf
     best_converged = False
     for _ in range(budget):
-        vec = rng.uniform(-math.pi, math.pi, size=n_coords)
-        val = objective(vec)
+        vectors = [rng.normal(size=(m, 3)) * plane for m in ms]
+        vectors = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in vectors]
+        val = -math.inf
         converged = False
         for _ in range(max_sweeps):
             before = val
-            for c in range(n_coords):
-
-                def f1d(x, c=c):
-                    old = vec[c]
-                    vec[c] = x
-                    out = objective(vec)
-                    vec[c] = old
-                    return out
-
-                xc, val = _line_max(f1d, vec[c], val)
-                vec[c] = xc
+            for k in range(n):
+                others = [v for j, v in enumerate(vectors) if j != k]
+                g = np.einsum(gradient_subs[k], coeff, tensor, *others) * plane
+                norms = np.linalg.norm(g, axis=1)
+                moved = norms > ATOL
+                vectors[k][moved] = g[moved] / norms[moved, None]
+            table = table_from_observables(ancilla, [observables_from_bloch(v) for v in vectors])
+            val = float(np.sum(coeff * table))
             if val - before < sweep_tol:
                 converged = True
                 break
         if val > best_val:
             best_val = val
-            best_vec = vec.copy()
+            best_vectors = [v.copy() for v in vectors]
             best_converged = converged
 
     settings = tuple(
-        tuple(
-            AngleSetting(mode, tuple(best_vec[sl]))
-            for sl in row
-        )
-        for row in slices
+        tuple(setting_from_bloch(mode, v) for v in party) for party in best_vectors
     )
     table = correlator_table(system, ancilla, settings, method="factorized")
     best_value = abs(evaluate(functional, table))

@@ -18,7 +18,7 @@ from .analysis import (
     ppt_separable,
     verify_factorization,
 )
-from .functionals import classical_bound, violation_report
+from .functionals import VIOLATION_TOL, classical_bound, violation_report
 from .gates import AngleSetting
 from .protocol import (
     apply_olts,
@@ -100,7 +100,7 @@ def cmd_optimize(args, out) -> int:
     out.write(f"optimization (mode {scenario.mode}, restarts {result.restarts_used}, seed {seed})\n")
     out.write(f"best |value|    : {result.best_value:.15g}\n")
     out.write(f"classical bound : {bound:.15g}\n")
-    out.write(f"violated        : {'yes' if margin > 1e-9 else 'no'} (margin {margin:+.15g})\n")
+    out.write(f"violated        : {'yes' if margin > VIOLATION_TOL else 'no'} (margin {margin:+.15g})\n")
     out.write(f"converged       : {'yes' if result.converged else 'no'}\n")
     out.write("best settings (radians, 12 significant digits):\n")
     for i, party in enumerate(result.best_settings):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import n_qubits_of
+from .linalg import ATOL, n_qubits_of
 
 SO2 = "so2"
 SU2 = "su2"
@@ -68,6 +68,9 @@ def pauli(k: int) -> np.ndarray:
     raise ValueError(f"Pauli index must be 1, 2, or 3, got {k}")
 
 
+PAULIS = np.stack([pauli(k) for k in (1, 2, 3)])
+
+
 def rotation_so2(theta: float) -> np.ndarray:
     """Planar rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -98,6 +101,40 @@ def rotation(setting: AngleSetting) -> np.ndarray:
     if setting.mode == SO2:
         return rotation_so2(setting.angles[0])
     return rotation_su2(setting)
+
+
+def bloch_vector(setting: AngleSetting) -> np.ndarray:
+    """Unit Bloch vector (x, y, z) of the measured observable R^dag Z R.
+
+    so2: (-sin t, 0, cos t). su2: (-sin t cos l, sin t sin l, cos t); phi
+    drops out because Rz(phi) commutes with Z.
+    """
+    if setting.mode == SO2:
+        theta, lam = setting.angles[0], 0.0
+    else:
+        _, theta, lam = setting.angles
+    s = math.sin(theta)
+    return np.array([-s * math.cos(lam), s * math.sin(lam), math.cos(theta)])
+
+
+def setting_from_bloch(mode: str, vector) -> AngleSetting:
+    """A setting whose Bloch vector is the given unit vector; su2 settings get phi = 0.
+
+    An so2 setting reaches only the xz plane, so a y component is an error.
+    """
+    x, y, z = (float(c) for c in vector)
+    if mode == SO2:
+        if abs(y) > ATOL:
+            raise ValueError(f"so2 settings have no y component, got y = {y:.3e}")
+        return AngleSetting.so2(math.atan2(-x, z))
+    if mode != SU2:
+        raise ValueError(f"mode must be '{SO2}' or '{SU2}', got {mode!r}")
+    return AngleSetting.su2(0.0, math.atan2(math.hypot(x, y), z), math.atan2(y, -x))
+
+
+def observables_from_bloch(vectors: np.ndarray) -> np.ndarray:
+    """v . (X, Y, Z) for every row v of an (M, 3) array; shape (M, 2, 2)."""
+    return np.einsum("mk,kij->mij", vectors, PAULIS)
 
 
 # Euler triples whose rotations conjugate diag(1,-1) onto the x and y Pauli

@@ -5,8 +5,9 @@ a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
 ways: the direct route simulates the full 2N-qubit register, the factorized
 route multiplies the system-side parity constant by the expectation on the
-locally rotated ancilla. The two must agree for every input, which the
-analysis module verifies by randomized campaign.
+locally rotated ancilla, where each setting enters only through the Bloch
+vector of its measured observable. The two must agree for every input, which
+the analysis module verifies by randomized campaign.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -19,11 +20,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gates import AngleSetting, embed, olt_unitary, pauli, rotation
-from .linalg import ATOL, dag, kron_all, partial_trace
+from .gates import (
+    PAULIS,
+    AngleSetting,
+    bloch_vector,
+    embed,
+    observables_from_bloch,
+    olt_unitary,
+    pauli,
+)
+from .linalg import _LETTERS, ATOL, dag, kron_all, partial_trace
 from .states import DensityMatrix, validate_density
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def z_string(n: int) -> np.ndarray:
@@ -93,29 +100,12 @@ def correlation_direct(
     return _tr_product(z_string(state.n_parties), red.matrix)
 
 
-def _effective_observable(setting: AngleSetting) -> np.ndarray:
-    r = rotation(setting)
-    return dag(r) @ pauli(3) @ r
-
-
 def correlation_factorized(
     system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
 ) -> float:
-    """Factorized route: system parity constant times the rotated-ancilla parity.
-
-    The rotations move into the ancilla state, so no 2N-qubit object is built.
-    """
-    n = system.n_qubits
-    if ancilla.n_qubits != n:
-        raise ValueError(
-            f"party count mismatch: system has {n} qubits, ancilla has {ancilla.n_qubits}"
-        )
-    _check_settings(settings, n)
-    z = z_string(n)
-    sys_factor = _tr_product(z, system.matrix)
-    r_all = kron_all([rotation(s) for s in settings])
-    chi_rot = r_all @ ancilla.matrix @ dag(r_all)
-    return sys_factor * _tr_product(z, chi_rot)
+    """Factorized route for one correlator: `correlator_table` with one setting per party."""
+    _check_settings(settings, system.n_qubits)
+    return float(correlator_table(system, ancilla, [[s] for s in settings]).reshape(()))
 
 
 def _tr_product(obs: np.ndarray, rho: np.ndarray) -> float:
@@ -181,10 +171,19 @@ def correlator_table(
 
     sys_factor = _tr_product(z_string(n), system.matrix)
     stacks = [
-        np.stack([_effective_observable(s) for s in lst]) for lst in per_party_settings
+        observables_from_bloch(np.array([bloch_vector(s) for s in lst]))
+        for lst in per_party_settings
     ]
-    table = table_from_observables(ancilla, stacks)
-    return sys_factor * table
+    return sys_factor * table_from_observables(ancilla, stacks)
+
+
+def correlation_tensor(ancilla: DensityMatrix) -> np.ndarray:
+    """Pauli correlation tensor T[i1..iN] = tr[(s_i1 x ... x s_iN) chi] over (x, y, z).
+
+    A correlator at settings with Bloch vectors v_1..v_N is the system parity
+    expectation times T contracted with every v_k.
+    """
+    return table_from_observables(ancilla, [PAULIS] * ancilla.n_qubits)
 
 
 def table_from_observables(ancilla: DensityMatrix, stacks: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Separability tests, the angle optimizer, verification campaigns, and the
 closed-form final state."""
 
+import itertools
 import math
 
 import numpy as np
@@ -107,18 +108,21 @@ class TestPptSeparable:
             ppt_separable(make_bell_state("phi+"), {0, 1})
 
 
-def plane_restricted_chsh_max(system, ancilla):
-    """Independent optimum: max CHSH over planar settings.
+def horodecki_chsh_max(system, ancilla, mode):
+    """Independent optimum: max CHSH over the settings a mode reaches.
 
-    Effective observables sweep the unit circle in the (z, x) plane, so the
-    maximum is 2 sqrt(s1^2 + s2^2) over the singular values of the restricted
-    correlation matrix, scaled by the system parity factor.
+    Effective observables sweep the unit sphere in su2 mode and the unit
+    circle in the (z, x) plane in so2 mode, so the maximum is 2 sqrt(t1^2 +
+    t2^2) over the two largest singular values of the correlation matrix on
+    those axes (Horodecki et al., Phys. Lett. A 200, 340 (1995)), scaled by
+    the system parity factor.
     """
     zz = kron(pauli(3), pauli(3))
     sys_factor = float(np.trace(zz @ system.matrix).real)
-    m = np.empty((2, 2))
-    for i, oa in enumerate((pauli(3), pauli(1))):
-        for j, ob in enumerate((pauli(3), pauli(1))):
+    axes = [pauli(k) for k in ((3, 1) if mode == "so2" else (3, 1, 2))]
+    m = np.empty((len(axes), len(axes)))
+    for i, oa in enumerate(axes):
+        for j, ob in enumerate(axes):
             m[i, j] = float(np.trace(kron(oa, ob) @ ancilla.matrix).real)
     s = np.linalg.svd(m, compute_uv=False)
     return 2 * abs(sys_factor) * math.sqrt(s[0] ** 2 + s[1] ** 2)
@@ -140,10 +144,16 @@ class TestOptimizer:
         assert result.best_value == pytest.approx(2 * SQRT2 * p, abs=1e-6)
 
     def test_mermin_reaches_four(self):
-        result = optimize_angles(
-            make_basis_state("000"), make_ghz(3, 1j), make_mermin3(), mode="su2", budget=4, seed=3
-        )
-        assert result.best_value == pytest.approx(4.0, abs=1e-4)
+        # |s0| = 1 for every basis state; 001 and 111 have parity -1
+        rng = np.random.default_rng(3)
+        for bits in ("000", "001", "111"):
+            for seed in range(3):
+                phase = complex(np.exp(1j * rng.uniform(0, 2 * math.pi)))
+                result = optimize_angles(
+                    make_basis_state(bits), make_ghz(3, phase), make_mermin3(), mode="su2", budget=1,
+                    seed=seed,
+                )
+                assert result.best_value == pytest.approx(4.0, abs=1e-9)
 
     def test_zero_system_factor(self):
         result = optimize_angles(
@@ -161,12 +171,12 @@ class TestOptimizer:
     def test_sound_against_independent_optimum(self):
         # randomized scenarios, confronted with the singular-value optimum
         rng = np.random.default_rng(59)
-        for trial in range(4):
+        for trial, mode in itertools.product(range(4), ("so2", "su2")):
             probs = rng.random(4)
             system = validate_density(np.diag(probs / probs.sum()).astype(complex))
             ancilla = random_density(rng, 2)
-            reference = plane_restricted_chsh_max(system, ancilla)
-            result = optimize_angles(system, ancilla, make_chsh(), budget=8, seed=trial)
+            reference = horodecki_chsh_max(system, ancilla, mode)
+            result = optimize_angles(system, ancilla, make_chsh(), mode=mode, budget=8, seed=trial)
             assert result.best_value <= reference + 1e-9
             assert result.best_value == pytest.approx(reference, abs=1e-6)
 

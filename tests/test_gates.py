@@ -8,12 +8,16 @@ import pytest
 
 from oltsim import dag, kron
 from oltsim.gates import (
+    SO2,
+    SU2,
     Z_TO_X_SETTING,
     Z_TO_Y_SETTING,
     AngleSetting,
+    bloch_vector,
     cnot,
     embed,
     format_setting,
+    observables_from_bloch,
     olt_unitary,
     parse_angle,
     parse_setting,
@@ -21,6 +25,7 @@ from oltsim.gates import (
     rotation,
     rotation_so2,
     rotation_su2,
+    setting_from_bloch,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -223,6 +228,64 @@ class TestAngleSetting:
     def test_mode_checked(self):
         with pytest.raises(ValueError):
             AngleSetting("o3", (0.0,))
+
+
+def measured_observable(setting):
+    r = rotation(setting)
+    return dag(r) @ pauli(3) @ r
+
+
+def random_settings(rng, count):
+    for _ in range(count):
+        yield AngleSetting.so2(rng.uniform(-2 * math.pi, 2 * math.pi))
+        yield AngleSetting.su2(*rng.uniform(-2 * math.pi, 2 * math.pi, size=3))
+
+
+POLES_AND_AXES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+
+
+class TestBlochVector:
+    def test_matches_the_rotated_z(self):
+        for setting in random_settings(np.random.default_rng(17), 20):
+            v = bloch_vector(setting)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            obs = measured_observable(setting)
+            assert np.allclose(observables_from_bloch(v[None])[0], obs, atol=1e-12)
+
+    def test_su2_ignores_phi(self):
+        a = AngleSetting.su2(0.3, 1.1, -0.7)
+        b = AngleSetting.su2(-2.9, 1.1, -0.7)
+        assert np.allclose(bloch_vector(a), bloch_vector(b), atol=1e-15)
+
+    @pytest.mark.parametrize("mode", [SO2, SU2])
+    def test_vector_round_trip(self, mode):
+        rng = np.random.default_rng(19)
+        vectors = [np.array(p, dtype=float) for p in POLES_AND_AXES] + list(rng.normal(size=(20, 3)))
+        for v in vectors:
+            if mode == SO2:
+                v = v * [1.0, 0.0, 1.0]
+                if not v.any():
+                    continue
+            v = v / np.linalg.norm(v)
+            setting = setting_from_bloch(mode, v)
+            assert setting.mode == mode
+            assert np.allclose(bloch_vector(setting), v, atol=1e-12)
+            assert np.allclose(measured_observable(setting), observables_from_bloch(v[None])[0], atol=1e-12)
+
+    def test_setting_round_trip(self):
+        for setting in random_settings(np.random.default_rng(23), 20):
+            back = setting_from_bloch(setting.mode, bloch_vector(setting))
+            assert np.allclose(measured_observable(back), measured_observable(setting), atol=1e-12)
+            if setting.mode == SU2:
+                assert back.angles[0] == 0.0
+
+    def test_so2_rejects_y_component(self):
+        with pytest.raises(ValueError, match="y component"):
+            setting_from_bloch(SO2, [0.0, 1.0, 0.0])
+
+    def test_mode_checked(self):
+        with pytest.raises(ValueError, match="mode"):
+            setting_from_bloch("o3", [0.0, 0.0, 1.0])
 
 
 class TestAngleGrammar:

@@ -28,6 +28,9 @@ from oltsim import (
     z_string,
 )
 from oltsim.analysis import random_density, random_diagonal_state, random_setting
+from oltsim.gates import bloch_vector, pauli
+from oltsim.linalg import kron_all
+from oltsim.protocol import correlation_tensor
 
 RHO_CC = make_classical_correlated(2).matrix
 RHO_ANTI = 0.5 * (make_basis_state("01").matrix + make_basis_state("10").matrix)
@@ -266,6 +269,25 @@ class TestCorrelatorTable:
             ] * 3
             table = correlator_table(system, ancilla, shifted)
             assert np.max(np.abs(table - base)) < 1e-10
+
+    def test_correlation_tensor_entries(self):
+        ancilla = random_density(np.random.default_rng(37), 3)
+        tensor = correlation_tensor(ancilla)
+        assert tensor.shape == (3, 3, 3)
+        for idx in np.ndindex(tensor.shape):
+            expected = np.trace(kron_all([pauli(k + 1) for k in idx]) @ ancilla.matrix).real
+            assert tensor[idx] == pytest.approx(expected, abs=1e-12)
+
+    def test_table_is_parity_times_tensor_contraction(self):
+        rng = np.random.default_rng(41)
+        system, ancilla = random_density(rng, 3), random_density(rng, 3)
+        settings = [[random_setting(rng) for _ in range(2)] for _ in range(3)]
+        s0 = stabilizer_eigenvalue(system).expectation
+        expected = correlation_tensor(ancilla)
+        for party in settings:
+            expected = np.tensordot(expected, np.array([bloch_vector(s) for s in party]), axes=([0], [1]))
+        table = correlator_table(system, ancilla, settings, method="direct")
+        assert np.max(np.abs(table - s0 * expected)) < 1e-10
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
