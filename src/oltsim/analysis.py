@@ -26,7 +26,7 @@ from .protocol import (
     correlation_factorized,
     correlation_tensor,
     correlator_table,
-    reduced_system,
+    reduced_state,
     table_from_observables,
 )
 from .states import (
@@ -321,7 +321,7 @@ def persistency_scan(grid: int) -> PersistencyReport:
     for i, ta in enumerate(thetas):
         for j, tb in enumerate(thetas):
             settings = [AngleSetting.so2(ta), AngleSetting.so2(tb)]
-            red = reduced_system(apply_olts(assemble(system, ancilla), settings))
+            red = reduced_state(system, ancilla, settings)
             verdict = ppt_separable(red, {0})
             separable[i, j] = bool(verdict.separable)
             min_eigs[i, j] = verdict.min_eigenvalue

@@ -20,13 +20,7 @@ from .analysis import (
 )
 from .functionals import VIOLATION_TOL, classical_bound, violation_report
 from .gates import AngleSetting
-from .protocol import (
-    apply_olts,
-    assemble,
-    correlator_table,
-    reduced_system,
-    stabilizer_eigenvalue,
-)
+from .protocol import correlator_table, parity, reduced_state, stabilizer_eigenvalue
 from .scenario import Scenario, ScenarioError, format_scenario, load_scenario
 
 SCENARIO_BEGIN = "# --- scenario ---"
@@ -59,14 +53,12 @@ def cmd_run(args, out) -> int:
 
     out.write(f"stabilizer eigenvalue : {_stabilizer_text(stabilizer_eigenvalue(scenario.system))}\n")
 
-    table = correlator_table(
-        scenario.system, scenario.ancilla, scenario.settings, method="direct"
-    )
+    table = np.empty(tuple(len(party) for party in scenario.settings))
     out.write("correlators (direct route):\n")
     for idx in np.ndindex(table.shape):
         chosen = [scenario.settings[i][idx[i]] for i in range(scenario.n_parties)]
-        state = apply_olts(assemble(scenario.system, scenario.ancilla), chosen)
-        red = reduced_system(state)
+        red = reduced_state(scenario.system, scenario.ancilla, chosen)
+        table[idx] = parity(red)
         verdict = ppt_separable(red, {0})
         label = ",".join(str(i + 1) for i in idx)
         out.write(
@@ -118,20 +110,14 @@ def cmd_sweep(args, out) -> int:
     if args.grid < 2:
         raise ScenarioError(args.scenario, None, f"grid must be >= 2, got {args.grid}")
     thetas = np.linspace(0.0, math.pi, args.grid)
+    settings = [AngleSetting.so2(t) for t in thetas]
+    table = correlator_table(scenario.system, scenario.ancilla, [settings, settings])
     rows = []
-    for ta in thetas:
-        for tb in thetas:
-            settings = [AngleSetting.so2(ta), AngleSetting.so2(tb)]
-            state = apply_olts(assemble(scenario.system, scenario.ancilla), settings)
-            red = reduced_system(state)
-            corr = float(
-                correlator_table(scenario.system, scenario.ancilla, [[settings[0]], [settings[1]]])[
-                    0, 0
-                ]
-            )
-            verdict = ppt_separable(red, {0})
-            sep = "true" if verdict.separable else "false"
-            rows.append(f"{ta:.15g},{tb:.15g},{corr:.15g},{sep}")
+    for i, ta in enumerate(thetas):
+        for j, tb in enumerate(thetas):
+            red = reduced_state(scenario.system, scenario.ancilla, [settings[i], settings[j]])
+            sep = "true" if ppt_separable(red, {0}).separable else "false"
+            rows.append(f"{ta:.15g},{tb:.15g},{table[i, j]:.15g},{sep}")
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("theta_a,theta_b,correlator,separable\n")
@@ -183,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
 _COMMANDS = {
     "run": cmd_run,
     "optimize": cmd_optimize,
@@ -193,8 +181,7 @@ _COMMANDS = {
 
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
     except (ScenarioError, ValueError, OSError) as exc:

@@ -3,11 +3,13 @@
 Each of the N parties holds one system qubit and one ancilla qubit and applies
 a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
-ways: the direct route simulates the full 2N-qubit register, the factorized
-route multiplies the system-side parity constant by the expectation on the
-locally rotated ancilla, where each setting enters only through the Bloch
-vector of its measured observable. The two must agree for every input, which
-the analysis module verifies by randomized campaign.
+ways. The direct route simulates the full 2N-qubit register once per setting
+combination (`reduced_state`) and reads the correlator as the `parity` of the
+reduced state, which also serves any separability verdict. The factorized
+route multiplies the system's `parity` by the expectation on the locally
+rotated ancilla, where each setting enters only through the Bloch vector of
+its measured observable. The two must agree for every input, which the
+analysis module verifies by randomized campaign.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -29,7 +31,7 @@ from .gates import (
     olt_unitary,
     pauli,
 )
-from .linalg import _LETTERS, ATOL, dag, kron_all, partial_trace
+from .linalg import _LETTERS, ATOL, dag, expectation, kron_all, partial_trace
 from .states import DensityMatrix, validate_density
 
 
@@ -87,17 +89,23 @@ def reduced_system(state: ProtocolState) -> DensityMatrix:
     return validate_density(red)
 
 
+def reduced_state(
+    system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
+) -> DensityMatrix:
+    """Assemble, apply every party's unitary at its setting, and trace out the ancillas."""
+    return reduced_system(apply_olts(assemble(system, ancilla), settings))
+
+
+def parity(state: DensityMatrix) -> float:
+    """Expectation of the z-basis parity observable on every qubit of `state`."""
+    return expectation(z_string(state.n_qubits), state.matrix)
+
+
 def correlation_direct(
     system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
 ) -> float:
-    """Full-register simulation of one correlator.
-
-    Assemble, apply the per-party unitaries, reduce, and measure the z-basis
-    parity on the reduced system state.
-    """
-    state = apply_olts(assemble(system, ancilla), settings)
-    red = reduced_system(state)
-    return _tr_product(z_string(state.n_parties), red.matrix)
+    """Full-register simulation of one correlator: the parity of the reduced state."""
+    return parity(reduced_state(system, ancilla, settings))
 
 
 def correlation_factorized(
@@ -106,13 +114,6 @@ def correlation_factorized(
     """Factorized route for one correlator: `correlator_table` with one setting per party."""
     _check_settings(settings, system.n_qubits)
     return float(correlator_table(system, ancilla, [[s] for s in settings]).reshape(()))
-
-
-def _tr_product(obs: np.ndarray, rho: np.ndarray) -> float:
-    val = complex(np.einsum("ij,ji->", obs, rho))
-    if abs(val.imag) >= ATOL:
-        raise ValueError(f"correlator has imaginary residue {val.imag:.3e} >= 1e-10")
-    return val.real
 
 
 class StabilizerResult(NamedTuple):
@@ -130,7 +131,7 @@ def stabilizer_eigenvalue(system: DensityMatrix) -> StabilizerResult:
     every correlator.
     """
     z = z_string(system.n_qubits)
-    value = _tr_product(z, system.matrix)
+    value = parity(system)
     commutes = np.max(np.abs(z @ system.matrix - system.matrix @ z)) <= ATOL
     if commutes and abs(abs(value) - 1.0) <= ATOL:
         return StabilizerResult(1 if value > 0 else -1, value)
@@ -169,7 +170,7 @@ def correlator_table(
     if method != "factorized":
         raise ValueError(f"unknown method {method!r}; expected 'factorized' or 'direct'")
 
-    sys_factor = _tr_product(z_string(n), system.matrix)
+    sys_factor = parity(system)
     stacks = [
         observables_from_bloch(np.array([bloch_vector(s) for s in lst]))
         for lst in per_party_settings

@@ -130,6 +130,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             f"party count mismatch: functional has {functional.n_parties} parties, "
             f"states have {system.n_qubits}",
         )
+    if system.n_qubits < 2:
+        raise ScenarioError(
+            source, None, f"a Bell scenario needs at least 2 parties, got {system.n_qubits}"
+        )
     if settings is not None:
         if len(settings) != system.n_qubits:
             raise ScenarioError(

@@ -2,12 +2,17 @@
 
 import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oltsim import parse_scenario
+import oltsim
+from oltsim import AngleSetting, correlation_factorized, parse_scenario
 from oltsim.cli import SCENARIO_BEGIN, SCENARIO_END, main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CHSH_MAX = """\
 label = chsh-max
@@ -91,6 +96,30 @@ class TestRun:
         code, _ = run_cli(["run", path])
         assert code == 2
 
+    def test_single_party_rejected_before_any_output(self, tmp_path, capsys):
+        text = "system = basis:0\nancilla = basis:1\nfunctional = custom:2:1,1\nsettings = so2:0, so2:pi/2\n"
+        path = write(tmp_path, "one.txt", text)
+        code, out = run_cli(["run", path])
+        assert code == 2
+        assert out == ""
+        assert "at least 2 parties" in capsys.readouterr().err
+
+    def test_simulates_each_combination_once(self, monkeypatch):
+        calls = []
+        original = oltsim.protocol.apply_olts
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("oltsim") and getattr(module, "apply_olts", None) is original:
+                monkeypatch.setattr(module, "apply_olts", counted)
+        code, out = run_cli(["run", str(SCENARIOS / "mermin_ghz.txt")])
+        assert code == 0
+        assert out.count("  setting (") == 8
+        assert len(calls) == 8
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "system = basis:0q\nancilla = werner:1\nfunctional = chsh\n")
         code, _ = run_cli(["run", path])
@@ -141,9 +170,14 @@ class TestSweep:
         assert code == 0
         lines = out_csv.read_text().splitlines()[1:]
         assert len(lines) == 25
-        for line in lines:
+        scenario = parse_scenario(CHSH_MAX)
+        thetas = np.linspace(0.0, math.pi, 5)
+        points = [(a, b) for a in thetas for b in thetas]
+        for line, (a, b) in zip(lines, points):
             ta, tb, corr, sep = line.split(",")
             assert abs(float(corr) - math.cos(float(ta) - float(tb))) < 1e-10
+            settings = [AngleSetting.so2(a), AngleSetting.so2(b)]
+            assert corr == f"{correlation_factorized(scenario.system, scenario.ancilla, settings):.15g}"
             assert sep == "true"
 
     def test_byte_identical_reruns(self, tmp_path):

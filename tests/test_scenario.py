@@ -90,6 +90,10 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="party count"):
             parse_scenario("system = basis:00\nancilla = werner:1\nfunctional = mermin3\n")
 
+    def test_single_party_rejected(self):
+        with pytest.raises(ScenarioError, match="a Bell scenario needs at least 2 parties, got 1"):
+            parse_scenario("system = basis:0\nancilla = basis:1\nfunctional = custom:2:1,1\n")
+
     def test_settings_count_mismatch(self):
         with pytest.raises(ScenarioError, match="settings"):
             parse_scenario(FULL.replace("| so2:pi/4, so2:-pi/4", ""))
