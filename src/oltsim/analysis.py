@@ -26,7 +26,7 @@ from .protocol import (
     correlation_factorized,
     correlation_tensor,
     correlator_table,
-    reduced_state,
+    reduced_states,
     table_from_observables,
 )
 from .states import (
@@ -238,8 +238,8 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
     draw fully random ones (exercising the no-eigenvalue branch); the routes
     must agree on all of them.
     """
-    if parties not in (2, 3, 4):
-        raise ValueError(f"parties must be 2, 3, or 4, got {parties}")
+    if parties not in range(2, 6):
+        raise ValueError(f"parties must be between 2 and 5, got {parties}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -316,13 +316,11 @@ def persistency_scan(grid: int) -> PersistencyReport:
     system = make_classical_correlated(2)
     ancilla = make_bell_state("phi+")
     thetas = np.linspace(0.0, 2 * math.pi, grid)
+    settings = [AngleSetting.so2(t) for t in thetas]
     separable = np.zeros((grid, grid), dtype=bool)
     min_eigs = np.zeros((grid, grid))
-    for i, ta in enumerate(thetas):
-        for j, tb in enumerate(thetas):
-            settings = [AngleSetting.so2(ta), AngleSetting.so2(tb)]
-            red = reduced_state(system, ancilla, settings)
-            verdict = ppt_separable(red, {0})
-            separable[i, j] = bool(verdict.separable)
-            min_eigs[i, j] = verdict.min_eigenvalue
+    for idx, red in reduced_states(system, ancilla, [settings, settings]):
+        verdict = ppt_separable(red, {0})
+        separable[idx] = bool(verdict.separable)
+        min_eigs[idx] = verdict.min_eigenvalue
     return PersistencyReport(thetas=thetas, separable=separable, min_eigenvalues=min_eigs)

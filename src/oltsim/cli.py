@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .functionals import VIOLATION_TOL, classical_bound, violation_report
 from .gates import AngleSetting
-from .protocol import correlator_table, parity, reduced_state, stabilizer_eigenvalue
+from .protocol import correlator_table, parity, reduced_states, stabilizer_eigenvalue
 from .scenario import Scenario, ScenarioError, format_scenario, load_scenario
 
 SCENARIO_BEGIN = "# --- scenario ---"
@@ -55,9 +55,7 @@ def cmd_run(args, out) -> int:
 
     table = np.empty(tuple(len(party) for party in scenario.settings))
     out.write("correlators (direct route):\n")
-    for idx in np.ndindex(table.shape):
-        chosen = [scenario.settings[i][idx[i]] for i in range(scenario.n_parties)]
-        red = reduced_state(scenario.system, scenario.ancilla, chosen)
+    for idx, red in reduced_states(scenario.system, scenario.ancilla, scenario.settings):
         table[idx] = parity(red)
         verdict = ppt_separable(red, {0})
         label = ",".join(str(i + 1) for i in idx)
@@ -113,11 +111,9 @@ def cmd_sweep(args, out) -> int:
     settings = [AngleSetting.so2(t) for t in thetas]
     table = correlator_table(scenario.system, scenario.ancilla, [settings, settings])
     rows = []
-    for i, ta in enumerate(thetas):
-        for j, tb in enumerate(thetas):
-            red = reduced_state(scenario.system, scenario.ancilla, [settings[i], settings[j]])
-            sep = "true" if ppt_separable(red, {0}).separable else "false"
-            rows.append(f"{ta:.15g},{tb:.15g},{table[i, j]:.15g},{sep}")
+    for (i, j), red in reduced_states(scenario.system, scenario.ancilla, [settings, settings]):
+        sep = "true" if ppt_separable(red, {0}).separable else "false"
+        rows.append(f"{thetas[i]:.15g},{thetas[j]:.15g},{table[i, j]:.15g},{sep}")
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("theta_a,theta_b,correlator,separable\n")
@@ -162,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_verify = sub.add_parser("verify", help="randomized direct-vs-factorized campaign")
-    p_verify.add_argument("--parties", type=int, required=True, help="party count (2, 3, or 4)")
+    p_verify.add_argument("--parties", type=int, required=True, help="party count, 2 to 5")
     p_verify.add_argument("--trials", type=int, required=True, help="number of random trials")
     p_verify.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
 

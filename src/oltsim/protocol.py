@@ -3,13 +3,14 @@
 Each of the N parties holds one system qubit and one ancilla qubit and applies
 a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
-ways. The direct route simulates the full 2N-qubit register once per setting
-combination (`reduced_state`) and reads the correlator as the `parity` of the
-reduced state, which also serves any separability verdict. The factorized
-route multiplies the system's `parity` by the expectation on the locally
-rotated ancilla, where each setting enters only through the Bloch vector of
-its measured observable. The two must agree for every input, which the
-analysis module verifies by randomized campaign.
+ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
+conjugates it by one unitary per setting combination, validates every state on
+the way, and reads the correlator as the `parity` of the reduced state, which
+also serves any separability verdict. The factorized route multiplies the
+system's `parity` by the expectation on the locally rotated ancilla, where
+each setting enters only through the Bloch vector of its measured observable.
+The two must agree for every input, which the analysis module verifies by
+randomized campaign.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -18,7 +19,7 @@ party i owning qubits i and N+i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,12 +73,11 @@ def _check_settings(settings: Sequence[AngleSetting], n: int):
 
 
 def apply_olts(state: ProtocolState, settings: Sequence[AngleSetting]) -> ProtocolState:
-    """Conjugate by every party's two-qubit unitary (they commute)."""
+    """Conjugate by the Kronecker product of all parties' gates, on qubits 0, N, 1, N+1, ..."""
     n = state.n_parties
     _check_settings(settings, n)
-    u = np.eye(4**n, dtype=complex)
-    for i, setting in enumerate(settings):
-        u = embed(olt_unitary(setting), [i, n + i], 2 * n) @ u
+    pairs = [q for i in range(n) for q in (i, n + i)]
+    u = embed(kron_all([olt_unitary(s) for s in settings]), pairs, 2 * n)
     out = u @ state.full_state.matrix @ dag(u)
     return ProtocolState(n, validate_density(out))
 
@@ -89,11 +89,21 @@ def reduced_system(state: ProtocolState) -> DensityMatrix:
     return validate_density(red)
 
 
+def reduced_states(
+    system: DensityMatrix, ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
+) -> Iterator[tuple[tuple[int, ...], DensityMatrix]]:
+    """(index, reduced state) per setting combination, row-major, off one assembled register."""
+    register = assemble(system, ancilla)
+    for idx in np.ndindex(*(len(lst) for lst in per_party_settings)):
+        chosen = [lst[i] for lst, i in zip(per_party_settings, idx)]
+        yield idx, reduced_system(apply_olts(register, chosen))
+
+
 def reduced_state(
     system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
 ) -> DensityMatrix:
     """Assemble, apply every party's unitary at its setting, and trace out the ancillas."""
-    return reduced_system(apply_olts(assemble(system, ancilla), settings))
+    return next(reduced_states(system, ancilla, [[s] for s in settings]))[1]
 
 
 def parity(state: DensityMatrix) -> float:
@@ -163,9 +173,8 @@ def correlator_table(
 
     if method == "direct":
         table = np.empty(shape)
-        for idx in np.ndindex(shape):
-            chosen = [per_party_settings[i][idx[i]] for i in range(n)]
-            table[idx] = correlation_direct(system, ancilla, chosen)
+        for idx, red in reduced_states(system, ancilla, per_party_settings):
+            table[idx] = parity(red)
         return table
     if method != "factorized":
         raise ValueError(f"unknown method {method!r}; expected 'factorized' or 'direct'")

@@ -34,14 +34,23 @@ class DensityMatrix:
 
 
 def validate_density(m: np.ndarray) -> DensityMatrix:
-    """Wrap a matrix as a DensityMatrix, naming the violated invariant on failure."""
+    """Wrap a matrix as a DensityMatrix, naming the violated invariant on failure.
+
+    Positivity (no eigenvalue below -1e-10) is certified by a Cholesky factorization
+    of m + 0.5e-10 I; only if that fails does the spectrum decide, by the same rule.
+    """
     m = np.asarray(m, dtype=complex)
     n = n_qubits_of(m)
     if not is_hermitian(m):
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += ATOL / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig < -ATOL:
+            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}") from None
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > ATOL:
         raise ValueError(f"density matrix trace is {tr.real:.12g}, expected 1")

@@ -228,9 +228,14 @@ class TestVerifyFactorization:
         f = correlation_factorized(system, ancilla, so2(0.4, -0.2))
         assert abs(d) < 1e-12 and abs(f) < 1e-12
 
+    def test_five_parties(self):
+        report = verify_factorization(2, 5)
+        assert report.passed
+
     def test_parties_validated(self):
-        with pytest.raises(ValueError, match="parties"):
-            verify_factorization(10, 5, seed=0)
+        for parties in (1, 6):
+            with pytest.raises(ValueError, match="between 2 and 5"):
+                verify_factorization(10, parties, seed=0)
 
 
 class TestFinalStateForm:

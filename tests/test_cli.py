@@ -56,6 +56,21 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def count_calls(monkeypatch, name):
+    """Record every call to the protocol function `name`, wherever it was imported."""
+    calls = []
+    original = getattr(oltsim.protocol, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("oltsim") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestRun:
     def test_chsh_max_report(self, tmp_path):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)
@@ -105,20 +120,20 @@ class TestRun:
         assert "at least 2 parties" in capsys.readouterr().err
 
     def test_simulates_each_combination_once(self, monkeypatch):
-        calls = []
-        original = oltsim.protocol.apply_olts
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("oltsim") and getattr(module, "apply_olts", None) is original:
-                monkeypatch.setattr(module, "apply_olts", counted)
+        assembled = count_calls(monkeypatch, "assemble")
+        rotated = count_calls(monkeypatch, "apply_olts")
+        # only the protocol's own validations: the assembled, rotated and reduced states
+        validated = []
+        validate = oltsim.protocol.validate_density
+        monkeypatch.setattr(
+            oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
+        )
         code, out = run_cli(["run", str(SCENARIOS / "mermin_ghz.txt")])
         assert code == 0
         assert out.count("  setting (") == 8
-        assert len(calls) == 8
+        assert len(assembled) == 1
+        assert len(rotated) == 8
+        assert sorted(validated) == [(8, 8)] * 8 + [(64, 64)] * 9
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "system = basis:0q\nancilla = werner:1\nfunctional = chsh\n")
@@ -180,6 +195,13 @@ class TestSweep:
             assert corr == f"{correlation_factorized(scenario.system, scenario.ancilla, settings):.15g}"
             assert sep == "true"
 
+    def test_assembles_once(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "chsh.txt", CHSH_MAX)
+        assembled = count_calls(monkeypatch, "assemble")
+        code, _ = run_cli(["sweep", path, "--grid", "5", "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert len(assembled) == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -208,6 +230,8 @@ class TestVerify:
         code, out = run_cli(["verify", "--parties", "3", "--trials", "30"])
         assert code == 0
 
-    def test_bad_parties_exit(self):
-        code, _ = run_cli(["verify", "--parties", "7", "--trials", "5"])
-        assert code == 2
+    def test_bad_parties_exit(self, capsys):
+        for parties in ("6", "7"):
+            code, _ = run_cli(["verify", "--parties", parties, "--trials", "5"])
+            assert code == 2
+            assert "between 2 and 5" in capsys.readouterr().err

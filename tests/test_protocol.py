@@ -28,7 +28,7 @@ from oltsim import (
     z_string,
 )
 from oltsim.analysis import random_density, random_diagonal_state, random_setting
-from oltsim.gates import bloch_vector, pauli
+from oltsim.gates import bloch_vector, embed, olt_unitary, pauli
 from oltsim.linalg import kron_all
 from oltsim.protocol import correlation_tensor
 
@@ -104,6 +104,20 @@ class TestApplyOlts:
         state = assemble(make_basis_state("00"), make_bell_state("phi+"))
         with pytest.raises(ValueError, match="settings"):
             apply_olts(state, so2(0.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_party_conjugations(self, n):
+        # reference: one embedded two-qubit gate per party, conjugated in turn
+        rng = np.random.default_rng(100 + n)
+        state = assemble(random_density(rng, n), random_density(rng, n))
+        settings = [AngleSetting.so2(rng.uniform(-6, 6)), AngleSetting.su2(*rng.uniform(-6, 6, 3))]
+        settings += [random_setting(rng) for _ in range(n - 2)]
+        expected = state.full_state.matrix
+        for i, setting in enumerate(settings):
+            u = embed(olt_unitary(setting), [i, n + i], 2 * n)
+            expected = u @ expected @ u.conj().T
+        got = apply_olts(state, settings).full_state.matrix
+        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 class TestReducedSystem:

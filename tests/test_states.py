@@ -122,6 +122,21 @@ class TestGhz:
             make_ghz(3, 0.5)
 
 
+def boundary_state(d, min_eig):
+    """Unit-trace diagonal state whose smallest eigenvalue is `min_eig`."""
+    diag = np.full(d, (1 - min_eig) / (d - 1))
+    diag[0] = min_eig
+    return np.diag(diag)
+
+
+def spectrum_calls(monkeypatch):
+    """Record every eigvalsh call validate_density makes from now on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    return calls
+
+
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
         dm = validate_density(np.eye(4) / 4)
@@ -135,6 +150,30 @@ class TestValidateDensity:
         # sigma_x is traceless too; negativity must be the reported failure
         with pytest.raises(ValueError, match="negative eigenvalue"):
             validate_density(pauli(1))
+
+    @pytest.mark.parametrize("d", [4, 256])
+    @pytest.mark.parametrize(
+        "min_eig, spectrum_checked", [(-0.3e-10, False), (-0.7e-10, True)]
+    )
+    def test_negative_eigenvalue_within_tolerance(self, monkeypatch, d, min_eig, spectrum_checked):
+        # the Cholesky certificate of m + 0.5e-10 I settles -0.3e-10; -0.7e-10
+        # falls through to the spectrum, which still accepts it
+        calls = spectrum_calls(monkeypatch)
+        validate_density(boundary_state(d, min_eig))
+        assert bool(calls) == spectrum_checked
+
+    @pytest.mark.parametrize("d", [4, 256])
+    def test_negative_eigenvalue_beyond_tolerance(self, d):
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
+            validate_density(boundary_state(d, -2e-10))
+
+    def test_rank_one_projector_certified(self, monkeypatch):
+        ket = np.array([1, 1j]) @ np.random.default_rng(3).normal(size=(2, 256))
+        ket /= np.linalg.norm(ket)
+        calls = spectrum_calls(monkeypatch)
+        dm = validate_density(np.outer(ket, ket.conj()))
+        assert dm.n_qubits == 8
+        assert not calls
 
     def test_hermiticity_violation(self):
         with pytest.raises(ValueError, match="Hermitian"):
