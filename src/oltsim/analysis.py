@@ -141,9 +141,7 @@ def optimize_angles(
         )
     ms = functional.settings_per_party
     if len(ms) != n:
-        raise ValueError(
-            f"functional has {len(ms)} parties but the states have {n}"
-        )
+        raise ValueError(f"functional has {len(ms)} parties but the states have {n}")
     coeff = functional.coefficients
     tensor = correlation_tensor(ancilla)
     plane = np.array([1.0, 0.0, 1.0]) if mode == SO2 else np.ones(3)

@@ -203,9 +203,7 @@ def table_from_observables(ancilla: DensityMatrix, stacks: Sequence[np.ndarray])
     """
     n = ancilla.n_qubits
     chi_t = ancilla.matrix.reshape((2,) * (2 * n))
-    subs = []
-    for i in range(n):
-        subs.append(_LETTERS[i] + _LETTERS[n + i] + _LETTERS[2 * n + i])
+    subs = [_LETTERS[i] + _LETTERS[n + i] + _LETTERS[2 * n + i] for i in range(n)]
     chi_sub = _LETTERS[2 * n : 3 * n] + _LETTERS[n : 2 * n]
     out = _LETTERS[:n]
     table = np.einsum(",".join(subs) + "," + chi_sub + "->" + out, *stacks, chi_t)

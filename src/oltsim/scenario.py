@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import BellFunctional, parse_functional_spec
+from .functionals import BellFunctional, check_enumeration_cap, parse_functional_spec
 from .gates import SO2, SU2, AngleSetting, format_setting, parse_setting
 from .states import DensityMatrix, parse_state_spec
 
@@ -84,15 +84,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if required not in raw:
             raise ScenarioError(source, None, f"missing required key {required!r}")
 
-    def field(key: str):
-        return raw[key]
-
-    lineno, system_spec = field("system")
+    lineno, system_spec = raw["system"]
     system = _parse(source, lineno, "system", parse_state_spec, system_spec)
-    lineno, ancilla_spec = field("ancilla")
+    lineno, ancilla_spec = raw["ancilla"]
     ancilla = _parse(source, lineno, "ancilla", parse_state_spec, ancilla_spec)
-    lineno, functional_spec = field("functional")
+    lineno, functional_spec = raw["functional"]
     functional = _parse(source, lineno, "functional", parse_functional_spec, functional_spec)
+    _parse(source, lineno, "functional", check_enumeration_cap, functional.settings_per_party)
 
     mode = SO2
     if "mode" in raw:

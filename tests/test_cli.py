@@ -119,6 +119,28 @@ class TestRun:
         assert out == ""
         assert "at least 2 parties" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficients_rejected_before_any_output(self, tmp_path, capsys, command, bad):
+        text = CHSH_MAX.replace("functional = chsh", f"functional = custom:2x2:1,1,1,{bad}")
+        code, out = run_cli([command, write(tmp_path, "nonfinite.txt", text)])
+        assert code == 2
+        assert out == ""
+        assert "coefficients must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_over_cap_functional_rejected_before_any_output(self, tmp_path, capsys, command):
+        coeffs = ",".join(["1"] * 12 * 13)
+        settings = " | ".join(", ".join(["so2:0"] * m) for m in (12, 13))
+        text = (
+            "system = basis:00\nancilla = bell:phi+\n"
+            f"functional = custom:12x13:{coeffs}\nsettings = {settings}\n"
+        )
+        code, out = run_cli([command, write(tmp_path, "wide.txt", text)])
+        assert code == 2
+        assert out == ""
+        assert "enumeration cap exceeded" in capsys.readouterr().err
+
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
         rotated = count_calls(monkeypatch, "apply_olts")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,24 @@ from oltsim.functionals import (
 )
 
 SQRT2 = math.sqrt(2)
+
+
+def brute_force_bound(coefficients):
+    """Largest value over every party's +-1 assignments, the widest party's included."""
+    n = coefficients.ndim
+    operands = [coefficients, list(range(n))]
+    for k, m in enumerate(coefficients.shape):
+        signs = 1.0 - 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
+        operands += [signs, [n + k, k]]
+    return float(np.einsum(*operands, list(range(n, 2 * n))).max())
+
+
+def mermin_coefficients(n):
+    """Re(i^|s|) over s in {0,1}^n: the n-party Mermin functional."""
+    return np.array([1.0, 0.0, -1.0, 0.0])[np.indices((2,) * n).sum(axis=0) % 4]
+
+
+ORACLE_SHAPES = [(2, 2), (1, 7, 8), (8, 1, 7), (3, 5, 2), (3, 3, 3), (2, 2, 2, 2)]
 
 
 def all_deterministic_tables(functional):
@@ -47,6 +66,13 @@ class TestBuiltins:
         assert f.coefficients[1, 1, 1] == -1
         assert np.count_nonzero(f.coefficients) == 4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        c = np.ones((2, 2))
+        c[1, 1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            BellFunctional(c, "bad")
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError, match="nonzero"):
             BellFunctional(np.zeros((2, 2)), "null")
@@ -67,6 +93,39 @@ class TestClassicalBound:
         f = BellFunctional(np.ones(25), "wide")
         with pytest.raises(ValueError, match="cap"):
             classical_bound(f)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_brute_force_on_integer_functionals(self, shape):
+        rng = np.random.default_rng(sum(shape) * 31 + len(shape))
+        for _ in range(3):
+            c = rng.integers(-3, 4, size=shape).astype(float)
+            c.flat[0] = 1.0  # never all zero
+            assert classical_bound(BellFunctional(c, "int")) == brute_force_bound(c)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_brute_force_on_gaussian_functionals(self, shape):
+        rng = np.random.default_rng(sum(shape) * 17 + len(shape))
+        for _ in range(3):
+            c = rng.normal(size=shape)
+            expected = brute_force_bound(c)
+            got = classical_bound(BellFunctional(c, "gauss"))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_mermin_n_closed_form(self, n):
+        bound = classical_bound(BellFunctional(mermin_coefficients(n), f"Mermin-{n}"))
+        assert bound == 2.0 ** (n // 2)
+
+    def test_all_ones_at_the_cap_in_bounded_memory(self):
+        f = BellFunctional(np.ones((2,) * 12), "ones")
+        tracemalloc.start()
+        try:
+            bound = classical_bound(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == 4096.0
+        assert peak < 128 * 2**20
 
     def test_deterministic_strategies_never_exceed(self):
         for f in (make_chsh(), make_mermin3()):

@@ -94,6 +94,12 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="a Bell scenario needs at least 2 parties, got 1"):
             parse_scenario("system = basis:0\nancilla = basis:1\nfunctional = custom:2:1,1\n")
 
+    def test_over_cap_functional_rejected_at_its_line(self):
+        coeffs = ",".join(["1"] * 12 * 13)
+        text = f"system = basis:00\nancilla = bell:phi+\nfunctional = custom:12x13:{coeffs}\n"
+        with pytest.raises(ScenarioError, match=r"<string>:3: functional: enumeration cap exceeded: 25"):
+            parse_scenario(text)
+
     def test_settings_count_mismatch(self):
         with pytest.raises(ScenarioError, match="settings"):
             parse_scenario(FULL.replace("| so2:pi/4, so2:-pi/4", ""))
