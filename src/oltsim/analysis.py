@@ -5,8 +5,9 @@ reported as PPT/NPT only beyond that. The optimizer is a seeded multi-restart
 see-saw on the ancilla's Pauli correlation tensor: the functional is linear in
 each party's Bloch vectors, so every party's best response has a closed form.
 It is deterministic for a fixed seed. The factorization campaign confronts
-the direct and factorized correlator routes on randomized inputs; their
-agreement is an algebraic identity, so the campaign must pass for every seed.
+the direct route's correlators and reduced states with the factorized ones on
+randomized inputs; their agreement is an algebraic identity, so the campaign
+must pass for every seed.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .linalg import _LETTERS, ATOL, dag
 from .protocol import (
     apply_olts,
     assemble,
-    correlation_direct,
     correlation_factorized,
     correlation_tensor,
     correlator_table,
-    reduced_states,
+    flip_mixtures,
+    parity,
+    reduced_state,
     table_from_observables,
 )
 from .states import (
@@ -118,11 +120,12 @@ def optimize_angles(
     A setting enters a correlator only through the unit Bloch vector of its
     measured observable, so the functional is sum_s c[s] T(v_1[s_1], ...,
     v_N[s_N]) times the system parity expectation, with T the ancilla's Pauli
-    correlation tensor. Each restart draws uniform random vectors and runs
-    see-saw sweeps: party k's vectors become v <- G/|G|, where G contracts
-    the coefficients and T with the other parties' vectors (projected onto
-    the xz plane in so2 mode; a zero row keeps its vector). Sweeps stop when
-    one gains less than `sweep_tol` in the value, evaluated through
+    correlation tensor, scaled here to a largest |c| of 1 so that no scale
+    overflows. Each restart draws uniform random vectors and runs see-saw
+    sweeps: party k's vectors become v <- G/|G|, where G contracts the scaled
+    coefficients and T with the other parties' vectors (projected onto the xz
+    plane in so2 mode; a zero row keeps its vector). Sweeps stop when one
+    gains less than `sweep_tol` in the scaled value, evaluated through
     `table_from_observables`, or after `max_sweeps`. Maximizing the signed
     value suffices: flipping one party's vectors flips its sign. The best
     vectors come back as settings (phi = 0 in su2 mode), and the returned
@@ -142,7 +145,7 @@ def optimize_angles(
     ms = functional.settings_per_party
     if len(ms) != n:
         raise ValueError(f"functional has {len(ms)} parties but the states have {n}")
-    coeff = functional.coefficients
+    coeff = functional.coefficients / np.abs(functional.coefficients).max()
     tensor = correlation_tensor(ancilla)
     plane = np.array([1.0, 0.0, 1.0]) if mode == SO2 else np.ones(3)
     # G for party k: coefficients over settings s_j, T over axes x_j, and every
@@ -200,11 +203,12 @@ def optimize_angles(
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Worst disagreement between the direct and factorized correlator routes."""
+    """Worst direct-vs-factorized disagreement of correlators and of reduced-state entries."""
 
     parties: int
     trials: int
     max_deviation: float
+    max_state_deviation: float
     passed: bool
 
 
@@ -230,18 +234,19 @@ def random_setting(rng: np.random.Generator) -> AngleSetting:
 
 
 def verify_factorization(trials: int, parties: int, seed: int = 0) -> FactorizationReport:
-    """Randomized comparison of the two correlator routes.
+    """Randomized comparison of the direct route with the factorized ones.
 
     Half the trials draw parity-commuting diagonal-mixture system states, half
-    draw fully random ones (exercising the no-eigenvalue branch); the routes
-    must agree on all of them.
+    draw fully random ones (exercising the no-eigenvalue branch). On every
+    trial the direct reduced state must match `flip_mixtures` and its parity
+    must match `correlation_factorized`, both to 1e-10.
     """
     if parties not in range(2, 6):
         raise ValueError(f"parties must be between 2 and 5, got {parties}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = worst_state = 0.0
     for t in range(trials):
         if t % 2 == 0:
             system = random_diagonal_state(rng, parties)
@@ -249,12 +254,11 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
             system = random_density(rng, parties)
         ancilla = random_density(rng, parties)
         settings = [random_setting(rng) for _ in range(parties)]
-        direct = correlation_direct(system, ancilla, settings)
-        fact = correlation_factorized(system, ancilla, settings)
-        worst = max(worst, abs(direct - fact))
-    return FactorizationReport(
-        parties=parties, trials=trials, max_deviation=worst, passed=worst < 1e-10
-    )
+        red = reduced_state(system, ancilla, settings)
+        _, mixture = next(flip_mixtures(system, ancilla, [[s] for s in settings]))
+        worst_state = max(worst_state, float(np.max(np.abs(red.matrix - mixture.matrix))))
+        worst = max(worst, abs(parity(red) - correlation_factorized(system, ancilla, settings)))
+    return FactorizationReport(parties, trials, worst, worst_state, max(worst, worst_state) < 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def persistency_scan(grid: int) -> PersistencyReport:
     settings = [AngleSetting.so2(t) for t in thetas]
     separable = np.zeros((grid, grid), dtype=bool)
     min_eigs = np.zeros((grid, grid))
-    for idx, red in reduced_states(system, ancilla, [settings, settings]):
+    for idx, red in flip_mixtures(system, ancilla, [settings, settings]):
         verdict = ppt_separable(red, {0})
         separable[idx] = bool(verdict.separable)
         min_eigs[idx] = verdict.min_eigenvalue

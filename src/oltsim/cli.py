@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .functionals import VIOLATION_TOL, classical_bound, violation_report
 from .gates import AngleSetting
-from .protocol import correlator_table, parity, reduced_states, stabilizer_eigenvalue
+from .protocol import correlator_table, flip_mixtures, parity, reduced_states, stabilizer_eigenvalue
 from .scenario import Scenario, ScenarioError, format_scenario, load_scenario
 
 SCENARIO_BEGIN = "# --- scenario ---"
@@ -111,7 +111,7 @@ def cmd_sweep(args, out) -> int:
     settings = [AngleSetting.so2(t) for t in thetas]
     table = correlator_table(scenario.system, scenario.ancilla, [settings, settings])
     rows = []
-    for (i, j), red in reduced_states(scenario.system, scenario.ancilla, [settings, settings]):
+    for (i, j), red in flip_mixtures(scenario.system, scenario.ancilla, [settings, settings]):
         sep = "true" if ppt_separable(red, {0}).separable else "false"
         rows.append(f"{thetas[i]:.15g},{thetas[j]:.15g},{table[i, j]:.15g},{sep}")
     try:

@@ -34,6 +34,9 @@ class BellFunctional:
             raise ValueError(f"every party needs at least one setting, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(c).sum()):
+                raise ValueError("sum of |coefficients| must be finite")
         if not np.any(c != 0.0):
             raise ValueError("coefficient tensor must have at least one nonzero entry")
         c = c.copy()

@@ -5,12 +5,13 @@ a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
 ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
 conjugates it by one unitary per setting combination, validates every state on
-the way, and reads the correlator as the `parity` of the reduced state, which
-also serves any separability verdict. The factorized route multiplies the
-system's `parity` by the expectation on the locally rotated ancilla, where
-each setting enters only through the Bloch vector of its measured observable.
-The two must agree for every input, which the analysis module verifies by
-randomized campaign.
+the way, and reads the correlator as the `parity` of the reduced state. The
+factorized route multiplies the system's `parity` by the expectation on the
+locally rotated ancilla, where each setting enters only through the Bloch
+vector of its measured observable. The two must agree for every input, which
+the analysis module verifies by randomized campaign. The reduced state itself
+is the bit-flip mixture sum_a p(a) X^a rho_sys X^a, with p the z-diagonal of
+the rotated ancilla; `flip_mixtures` builds it without the 2N-qubit register.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -31,6 +32,7 @@ from .gates import (
     observables_from_bloch,
     olt_unitary,
     pauli,
+    rotation,
 )
 from .linalg import _LETTERS, ATOL, dag, expectation, kron_all, partial_trace
 from .states import DensityMatrix, validate_density
@@ -56,13 +58,17 @@ class ProtocolState:
             )
 
 
-def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> ProtocolState:
-    """Product of system and ancilla states in the fixed register layout."""
+def _check_parties(system: DensityMatrix, ancilla: DensityMatrix):
     if system.n_qubits != ancilla.n_qubits:
         raise ValueError(
             f"party count mismatch: system has {system.n_qubits} qubits, "
             f"ancilla has {ancilla.n_qubits}"
         )
+
+
+def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> ProtocolState:
+    """Product of system and ancilla states in the fixed register layout."""
+    _check_parties(system, ancilla)
     full = np.kron(system.matrix, ancilla.matrix)
     return ProtocolState(system.n_qubits, validate_density(full))
 
@@ -70,6 +76,15 @@ def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> ProtocolState:
 def _check_settings(settings: Sequence[AngleSetting], n: int):
     if len(settings) != n:
         raise ValueError(f"expected {n} settings, one per party, got {len(settings)}")
+
+
+def _table_shape(per_party_settings: Sequence[Sequence[AngleSetting]], n: int) -> tuple[int, ...]:
+    if len(per_party_settings) != n:
+        raise ValueError(f"expected {n} setting lists, got {len(per_party_settings)}")
+    shape = tuple(len(lst) for lst in per_party_settings)
+    if any(m == 0 for m in shape):
+        raise ValueError("every party needs at least one setting")
+    return shape
 
 
 def apply_olts(state: ProtocolState, settings: Sequence[AngleSetting]) -> ProtocolState:
@@ -104,6 +119,44 @@ def reduced_state(
 ) -> DensityMatrix:
     """Assemble, apply every party's unitary at its setting, and trace out the ancillas."""
     return next(reduced_states(system, ancilla, [[s] for s in settings]))[1]
+
+
+def flip_distribution(
+    ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
+) -> np.ndarray:
+    """p(a | combination) = <a| R chi R^dag |a>, shape (M_1, ..., M_N, 2^N).
+
+    R is the product of the parties' rotations at the combination; a is the
+    row-major index of the N ancilla bits. Contracted one party at a time:
+    each step sums that party's row and column index of chi against
+    R[s, a, i] R*[s, a, j] and appends its (s, a) axes.
+    """
+    n = ancilla.n_qubits
+    shape = _table_shape(per_party_settings, n)
+    t = ancilla.matrix.reshape((2,) * (2 * n))
+    for k, lst in enumerate(per_party_settings):
+        r = np.array([rotation(s) for s in lst])
+        t = np.tensordot(t, r[:, :, :, None] * r.conj()[:, :, None, :], axes=([0, n - k], [2, 3]))
+    t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return t.real.reshape(shape + (2**n,))
+
+
+def flip_mixtures(
+    system: DensityMatrix, ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
+) -> Iterator[tuple[tuple[int, ...], DensityMatrix]]:
+    """(index, reduced state) per setting combination, row-major, as `reduced_states`.
+
+    Each state is sum_a p(a) X^a rho_sys X^a with p from `flip_distribution`,
+    where X^a permutes both indices of rho_sys by XOR with a. The 2^N copies
+    are held at once: 8^N complex entries (4 MB at N = 6, 268 MB at N = 8).
+    """
+    _check_parties(system, ancilla)
+    p = flip_distribution(ancilla, per_party_settings)
+    d = system.dim
+    perm = np.arange(d)[None, :] ^ np.arange(d)[:, None]
+    flipped = system.matrix[perm[:, :, None], perm[:, None, :]].reshape(d, d * d)
+    for idx in np.ndindex(*p.shape[:-1]):
+        yield idx, validate_density((p[idx] @ flipped).reshape(d, d))
 
 
 def parity(state: DensityMatrix) -> float:
@@ -160,16 +213,8 @@ def correlator_table(
     of settings. The factorized route evaluates the whole table in a single
     tensor contraction; the direct route simulates every combination.
     """
-    n = system.n_qubits
-    if ancilla.n_qubits != n:
-        raise ValueError(
-            f"party count mismatch: system has {n} qubits, ancilla has {ancilla.n_qubits}"
-        )
-    if len(per_party_settings) != n:
-        raise ValueError(f"expected {n} setting lists, got {len(per_party_settings)}")
-    shape = tuple(len(lst) for lst in per_party_settings)
-    if any(m == 0 for m in shape):
-        raise ValueError("every party needs at least one setting")
+    _check_parties(system, ancilla)
+    shape = _table_shape(per_party_settings, system.n_qubits)
 
     if method == "direct":
         table = np.empty(shape)

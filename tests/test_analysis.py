@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import oltsim
 from oltsim import (
     AngleSetting,
+    BellFunctional,
     apply_olts,
     assemble,
     check_final_state_form,
@@ -180,6 +182,15 @@ class TestOptimizer:
             assert result.best_value <= reference + 1e-9
             assert result.best_value == pytest.approx(reference, abs=1e-6)
 
+    def test_large_coefficient_scale(self):
+        # the see-saw runs on unit-scale weights, so 1e200 coefficients stay finite
+        states = (make_classical_correlated(2), make_bell_state("phi+"))
+        big_chsh = BellFunctional(1e200 * make_chsh().coefficients, "big")
+        big = optimize_angles(*states, big_chsh, budget=4, seed=7)
+        unit = optimize_angles(*states, make_chsh(), budget=4, seed=7)
+        assert big.best_value == pytest.approx(2 * SQRT2 * 1e200, rel=1e-9)
+        assert big.best_settings == unit.best_settings
+
     def test_deterministic_for_fixed_seed(self):
         args = (make_basis_state("00"), make_werner(0.8), make_chsh())
         r1 = optimize_angles(*args, budget=3, seed=13)
@@ -231,6 +242,23 @@ class TestVerifyFactorization:
     def test_five_parties(self):
         report = verify_factorization(2, 5)
         assert report.passed
+
+    def test_reduced_states_compared(self):
+        report = verify_factorization(20, 3, seed=4)
+        assert report.passed
+        assert report.max_state_deviation < 1e-10
+
+    def test_corrupted_flip_weight_fails(self, monkeypatch):
+        # reversed weights still give a valid state, but not the protocol's
+        # reduced state; the correlator routes never read them
+        original = oltsim.protocol.flip_distribution
+        monkeypatch.setattr(
+            oltsim.protocol, "flip_distribution", lambda *args: original(*args)[..., ::-1]
+        )
+        report = verify_factorization(4, 2, seed=0)
+        assert not report.passed
+        assert report.max_state_deviation > 1e-3
+        assert report.max_deviation < 1e-10
 
     def test_parties_validated(self):
         for parties in (1, 6):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oltsim
-from oltsim import AngleSetting, correlation_factorized, parse_scenario
+from oltsim import AngleSetting, correlation_factorized, parse_scenario, ppt_separable
 from oltsim.cli import SCENARIO_BEGIN, SCENARIO_END, main
+from oltsim.protocol import reduced_states
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -31,6 +32,17 @@ ancilla = werner:0.5
 functional = chsh
 mode = so2
 seed = 11
+settings = so2:0, so2:pi/2 | so2:pi/4, so2:-pi/4
+"""
+
+# entangled system, product ancilla: the sweep's separability column is mixed
+ENTANGLED_SYSTEM = """\
+label = entangled-system
+system = bell:phi+
+ancilla = basis:00
+functional = chsh
+mode = so2
+seed = 3
 settings = so2:0, so2:pi/2 | so2:pi/4, so2:-pi/4
 """
 
@@ -129,6 +141,24 @@ class TestRun:
         assert "coefficients must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_overflowing_coefficients_rejected_before_any_output(self, tmp_path, capsys, command):
+        huge = "custom:2x2:1e308,1e308,1e308,-1e308"
+        text = CHSH_MAX.replace("functional = chsh", f"functional = {huge}")
+        code, out = run_cli([command, write(tmp_path, "huge.txt", text)])
+        assert code == 2
+        assert out == ""
+        assert "sum of |coefficients| must be finite" in capsys.readouterr().err
+
+    def test_optimize_at_large_coefficient_scale(self, tmp_path):
+        big = "custom:2x2:1e200,1e200,1e200,-1e200"
+        text = CHSH_MAX.replace("functional = chsh", f"functional = {big}")
+        code, out = run_cli(["optimize", write(tmp_path, "big.txt", text), "--restarts", "4"])
+        assert code == 0
+        best = float(out.split("best |value|    : ")[1].split("\n")[0])
+        assert best == pytest.approx(2 * math.sqrt(2) * 1e200, rel=1e-9)
+        assert "violated        : yes" in out
+
+    @pytest.mark.parametrize("command", ["run", "optimize"])
     def test_over_cap_functional_rejected_before_any_output(self, tmp_path, capsys, command):
         coeffs = ",".join(["1"] * 12 * 13)
         settings = " | ".join(", ".join(["so2:0"] * m) for m in (12, 13))
@@ -217,12 +247,29 @@ class TestSweep:
             assert corr == f"{correlation_factorized(scenario.system, scenario.ancilla, settings):.15g}"
             assert sep == "true"
 
-    def test_assembles_once(self, tmp_path, monkeypatch):
+    def test_never_builds_the_register(self, tmp_path, monkeypatch):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)
         assembled = count_calls(monkeypatch, "assemble")
+        rotated = count_calls(monkeypatch, "apply_olts")
         code, _ = run_cli(["sweep", path, "--grid", "5", "--out", str(tmp_path / "s.csv")])
         assert code == 0
-        assert len(assembled) == 1
+        assert len(assembled) == 0
+        assert len(rotated) == 0
+
+    def test_entangled_system_matches_direct_verdicts(self, tmp_path):
+        path = write(tmp_path, "ent.txt", ENTANGLED_SYSTEM)
+        out_csv = tmp_path / "ent.csv"
+        code, _ = run_cli(["sweep", path, "--grid", "9", "--out", str(out_csv)])
+        assert code == 0
+        column = [line.split(",")[3] for line in out_csv.read_text().splitlines()[1:]]
+        scenario = parse_scenario(ENTANGLED_SYSTEM)
+        settings = [AngleSetting.so2(t) for t in np.linspace(0.0, math.pi, 9)]
+        direct = [
+            "true" if ppt_separable(red, {0}).separable else "false"
+            for _, red in reduced_states(scenario.system, scenario.ancilla, [settings, settings])
+        ]
+        assert column == direct
+        assert column.count("false") == 64
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)

@@ -73,6 +73,19 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             BellFunctional(c, "bad")
 
+    def test_rejects_overflowing_sum(self):
+        c = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(ValueError, match=r"sum of \|coefficients\| must be finite"):
+            BellFunctional(c, "huge")
+
+    def test_large_finite_coefficients_keep_a_finite_margin(self):
+        f = BellFunctional(4e307 * make_chsh().coefficients, "large")
+        report = violation_report(f, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert report.value == pytest.approx(1.6e308, rel=1e-15)
+        assert report.bound == pytest.approx(8e307, rel=1e-15)
+        assert report.margin == pytest.approx(8e307, rel=1e-15)
+        assert report.violated
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError, match="nonzero"):
             BellFunctional(np.zeros((2, 2)), "null")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oltsim
 from oltsim import (
     AngleSetting,
     Z_TO_X_SETTING,
@@ -28,9 +29,9 @@ from oltsim import (
     z_string,
 )
 from oltsim.analysis import random_density, random_diagonal_state, random_setting
-from oltsim.gates import bloch_vector, embed, olt_unitary, pauli
+from oltsim.gates import bloch_vector, embed, olt_unitary, pauli, rotation
 from oltsim.linalg import kron_all
-from oltsim.protocol import correlation_tensor
+from oltsim.protocol import correlation_tensor, flip_distribution, flip_mixtures, reduced_states
 
 RHO_CC = make_classical_correlated(2).matrix
 RHO_ANTI = 0.5 * (make_basis_state("01").matrix + make_basis_state("10").matrix)
@@ -153,6 +154,57 @@ class TestReducedSystem:
         assert np.allclose(red.matrix, expected, atol=1e-10)
         corr = np.trace(red.matrix @ z_string(2)).real
         assert corr == pytest.approx(-p * math.cos(delta), abs=1e-10)
+
+
+class TestFlipMixtures:
+    def test_distribution_is_rotated_ancilla_diagonal(self):
+        rng = np.random.default_rng(31)
+        ancilla = random_density(rng, 3)
+        lists = [[random_setting(rng) for _ in range(m)] for m in (2, 1, 3)]
+        p = flip_distribution(ancilla, lists)
+        assert p.shape == (2, 1, 3, 8)
+        for idx in np.ndindex(2, 1, 3):
+            r = kron_all([rotation(lst[i]) for lst, i in zip(lists, idx)])
+            assert np.allclose(p[idx], np.diag(r @ ancilla.matrix @ r.conj().T).real, atol=1e-14)
+
+    def test_matches_reduced_states_at_five_parties(self):
+        rng = np.random.default_rng(37)
+        system, ancilla = random_density(rng, 5), random_density(rng, 5)
+        lists = [[random_setting(rng)] for _ in range(5)]
+        (i, direct), = reduced_states(system, ancilla, lists)
+        (j, mixture), = flip_mixtures(system, ancilla, lists)
+        assert i == j == (0,) * 5
+        assert np.max(np.abs(direct.matrix - mixture.matrix)) < 1e-12
+
+    def test_correlated_pair_mixture_form(self):
+        thetas = np.linspace(-math.pi, math.pi, 5)
+        system, ancilla = make_classical_correlated(2), make_bell_state("phi+")
+        states = flip_mixtures(system, ancilla, [so2(*thetas), so2(0.0)])
+        for (i, j), red in states:
+            delta = thetas[i]
+            expected = 0.5 * (1 + math.cos(delta)) * RHO_CC + 0.5 * (1 - math.cos(delta)) * RHO_ANTI
+            assert j == 0
+            assert np.allclose(red.matrix, expected, atol=1e-12)
+
+    def test_every_state_validated(self, monkeypatch):
+        validated = []
+        validate = oltsim.protocol.validate_density
+        monkeypatch.setattr(
+            oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
+        )
+        system, ancilla = make_werner(0.3), make_bell_state("psi-")
+        states = list(flip_mixtures(system, ancilla, [so2(0, 1, 2), so2(3, 4)]))
+        assert [idx for idx, _ in states] == list(np.ndindex(3, 2))
+        assert validated == [(4, 4)] * 6
+
+    def test_inputs_checked(self):
+        system, ancilla = make_basis_state("00"), make_bell_state("phi+")
+        with pytest.raises(ValueError, match="party count mismatch"):
+            next(flip_mixtures(make_basis_state("000"), ancilla, [so2(0)] * 3))
+        with pytest.raises(ValueError, match="expected 2 setting lists"):
+            next(flip_mixtures(system, ancilla, [so2(0)]))
+        with pytest.raises(ValueError, match="at least one setting"):
+            flip_distribution(ancilla, [so2(0), []])
 
 
 class TestCorrelationRoutes:
