@@ -40,6 +40,7 @@ from .states import (
 )
 
 PPT_TOL = 1e-10
+GRID_CAP = 1024  # grid points per axis; G^2 reduced states are one stack (268 MB at the cap)
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +48,17 @@ PPT_TOL = 1e-10
 
 
 def partial_transpose(m: np.ndarray, subset, n: int) -> np.ndarray:
-    """Transpose the listed qubits of an n-qubit operator, leaving the rest."""
+    """Transpose the listed qubits of an n-qubit operator, or of each in an (..., d, d) stack."""
     subset = sorted(set(int(q) for q in subset))
     for q in subset:
         if not 0 <= q < n:
             raise ValueError(f"transpose index {q} out of range for {n} qubits")
-    if m.shape != (2**n, 2**n):
+    if m.shape[-2:] != (2**n, 2**n):
         raise ValueError(f"expected a {2**n}x{2**n} matrix for n={n}, got shape {m.shape}")
-    axes = list(range(2 * n))
+    t = m.reshape(m.shape[:-2] + (2,) * (2 * n))
     for q in subset:
-        axes[q], axes[q + n] = axes[q + n], axes[q]
-    return np.ascontiguousarray(m.reshape((2,) * (2 * n)).transpose(axes).reshape(m.shape))
+        t = t.swapaxes(q - 2 * n, q - n)
+    return np.ascontiguousarray(t).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,21 @@ class PptVerdict:
 
     `separable` is a real verdict only for two-qubit states, where positivity
     of the partial transpose is necessary and sufficient; for larger states it
-    stays None and only the PPT/NPT flag is meaningful.
+    stays None and only the PPT/NPT flag is meaningful. For a stack of states,
+    `ppt` and `min_eigenvalue` are arrays over its leading axes.
     """
 
-    ppt: bool
-    min_eigenvalue: float
+    ppt: bool | np.ndarray
+    min_eigenvalue: float | np.ndarray
     conclusive: bool
 
     @property
-    def separable(self) -> bool | None:
+    def separable(self) -> bool | np.ndarray | None:
         return self.ppt if self.conclusive else None
 
 
 def ppt_separable(rho: DensityMatrix, partition) -> PptVerdict:
-    """Partial transpose over `partition` and check positivity of the spectrum."""
+    """Partial transpose over `partition` and check positivity of the spectrum, per state."""
     n = rho.n_qubits
     subset = sorted(set(int(q) for q in partition))
     if not subset or len(subset) >= n:
@@ -87,7 +89,8 @@ def ppt_separable(rho: DensityMatrix, partition) -> PptVerdict:
             f"partition must be a nonempty proper subset of 0..{n - 1}, got {sorted(partition)}"
         )
     pt = partial_transpose(rho.matrix, subset, n)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    eigs = np.linalg.eigvalsh(pt)
+    min_eig = float(eigs[0]) if eigs.ndim == 1 else eigs[..., 0]
     return PptVerdict(ppt=min_eig >= -PPT_TOL, min_eigenvalue=min_eig, conclusive=n == 2)
 
 
@@ -255,8 +258,8 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
         ancilla = random_density(rng, parties)
         settings = [random_setting(rng) for _ in range(parties)]
         red = reduced_state(system, ancilla, settings)
-        _, mixture = next(flip_mixtures(system, ancilla, [[s] for s in settings]))
-        worst_state = max(worst_state, float(np.max(np.abs(red.matrix - mixture.matrix))))
+        mixture = flip_mixtures(system, ancilla, [[s] for s in settings]).matrix[(0,) * parties]
+        worst_state = max(worst_state, float(np.max(np.abs(red.matrix - mixture))))
         worst = max(worst, abs(parity(red) - correlation_factorized(system, ancilla, settings)))
     return FactorizationReport(parties, trials, worst, worst_state, max(worst, worst_state) < 1e-10)
 
@@ -311,18 +314,13 @@ def persistency_scan(grid: int) -> PersistencyReport:
 
     For every (theta_a, theta_b) on a `grid`-point mesh over a full period,
     the reduced system state is tested with the (conclusive, two-qubit)
-    partial-transpose criterion.
+    partial-transpose criterion, all at once on the stack of reduced states.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    if not 2 <= grid <= GRID_CAP:
+        raise ValueError(f"grid must be between 2 and {GRID_CAP}, got {grid}")
     system = make_classical_correlated(2)
     ancilla = make_bell_state("phi+")
     thetas = np.linspace(0.0, 2 * math.pi, grid)
     settings = [AngleSetting.so2(t) for t in thetas]
-    separable = np.zeros((grid, grid), dtype=bool)
-    min_eigs = np.zeros((grid, grid))
-    for idx, red in flip_mixtures(system, ancilla, [settings, settings]):
-        verdict = ppt_separable(red, {0})
-        separable[idx] = bool(verdict.separable)
-        min_eigs[idx] = verdict.min_eigenvalue
-    return PersistencyReport(thetas=thetas, separable=separable, min_eigenvalues=min_eigs)
+    verdict = ppt_separable(flip_mixtures(system, ancilla, [settings, settings]), {0})
+    return PersistencyReport(thetas, verdict.separable, verdict.min_eigenvalue)

@@ -13,11 +13,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    optimize_angles,
-    ppt_separable,
-    verify_factorization,
-)
+from .analysis import GRID_CAP, optimize_angles, ppt_separable, verify_factorization
 from .functionals import VIOLATION_TOL, classical_bound, violation_report
 from .gates import AngleSetting
 from .protocol import correlator_table, flip_mixtures, parity, reduced_states, stabilizer_eigenvalue
@@ -105,15 +101,19 @@ def cmd_sweep(args, out) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.n_parties != 2:
         raise ScenarioError(args.scenario, None, "sweep requires a 2-party scenario")
-    if args.grid < 2:
-        raise ScenarioError(args.scenario, None, f"grid must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= GRID_CAP:
+        raise ScenarioError(args.scenario, None, f"grid must be between 2 and {GRID_CAP}, got {args.grid}")
     thetas = np.linspace(0.0, math.pi, args.grid)
     settings = [AngleSetting.so2(t) for t in thetas]
-    table = correlator_table(scenario.system, scenario.ancilla, [settings, settings])
-    rows = []
-    for (i, j), red in flip_mixtures(scenario.system, scenario.ancilla, [settings, settings]):
-        sep = "true" if ppt_separable(red, {0}).separable else "false"
-        rows.append(f"{thetas[i]:.15g},{thetas[j]:.15g},{table[i, j]:.15g},{sep}")
+    table = correlator_table(scenario.system, scenario.ancilla, [settings, settings]).tolist()
+    states = flip_mixtures(scenario.system, scenario.ancilla, [settings, settings])
+    separable = ppt_separable(states, {0}).separable.tolist()
+    angles = thetas.tolist()
+    rows = [
+        f"{a:.15g},{b:.15g},{corr:.15g},{'true' if sep else 'false'}"
+        for a, corr_row, sep_row in zip(angles, table, separable)
+        for b, corr, sep in zip(angles, corr_row, sep_row)
+    ]
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("theta_a,theta_b,correlator,separable\n")

@@ -19,19 +19,20 @@ _LETTERS = string.ascii_letters
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of the trailing two axes."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(m - dag(m))) <= atol)
+    """True when every matrix of an (..., d, d) stack is Hermitian within `atol`."""
+    return bool(np.abs(m - dag(m)).max() <= atol)
 
 
 def n_qubits_of(m: np.ndarray) -> int:
-    """Number of qubits an operator acts on; rejects malformed shapes."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Qubits an operator, or each of an (..., d, d) stack, acts on; rejects malformed shapes."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    d = m.shape[0]
+    d = m.shape[-1]
     if d < 2 or d & (d - 1) != 0:
         raise ValueError(f"operator dimension must be a power of two >= 2, got {d}")
     return d.bit_length() - 1

@@ -11,7 +11,8 @@ locally rotated ancilla, where each setting enters only through the Bloch
 vector of its measured observable. The two must agree for every input, which
 the analysis module verifies by randomized campaign. The reduced state itself
 is the bit-flip mixture sum_a p(a) X^a rho_sys X^a, with p the z-diagonal of
-the rotated ancilla; `flip_mixtures` builds it without the 2N-qubit register.
+the rotated ancilla; `flip_mixtures` builds it without the 2N-qubit register,
+as one validated (M_1, ..., M_N, d, d) stack over all setting combinations.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -143,20 +144,19 @@ def flip_distribution(
 
 def flip_mixtures(
     system: DensityMatrix, ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
-) -> Iterator[tuple[tuple[int, ...], DensityMatrix]]:
-    """(index, reduced state) per setting combination, row-major, as `reduced_states`.
+) -> DensityMatrix:
+    """Every reduced state of `reduced_states` as one validated (M_1, ..., M_N, d, d) stack.
 
-    Each state is sum_a p(a) X^a rho_sys X^a with p from `flip_distribution`,
-    where X^a permutes both indices of rho_sys by XOR with a. The 2^N copies
-    are held at once: 8^N complex entries (4 MB at N = 6, 268 MB at N = 8).
+    State [idx] is sum_a p(a) X^a rho_sys X^a, p from `flip_distribution` and X^a
+    the XOR of both indices of rho_sys with a: one matmul of p with the 2^N flipped
+    copies (8^N complex entries, 268 MB at N = 8), one `validate_density` of the stack.
     """
     _check_parties(system, ancilla)
     p = flip_distribution(ancilla, per_party_settings)
     d = system.dim
     perm = np.arange(d)[None, :] ^ np.arange(d)[:, None]
     flipped = system.matrix[perm[:, :, None], perm[:, None, :]].reshape(d, d * d)
-    for idx in np.ndindex(*p.shape[:-1]):
-        yield idx, validate_density((p[idx] @ flipped).reshape(d, d))
+    return validate_density((p @ flipped).reshape(p.shape[:-1] + (d, d)))
 
 
 def parity(state: DensityMatrix) -> float:

@@ -6,15 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, is_hermitian, n_qubits_of, partial_trace
+from .linalg import ATOL, is_hermitian, n_qubits_of
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Instances are immutable (the matrix buffer is read-only); construct them
-    through validate_density or one of the named factories below.
+    One (d, d) matrix or an (..., d, d) stack of them, immutable (the buffer is
+    read-only); construct them through validate_density or a named factory below.
     """
 
     matrix: np.ndarray
@@ -22,37 +22,38 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
-    def purity(self) -> float:
-        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
-
-    def marginal(self, keep) -> "DensityMatrix":
-        """Reduced state on the kept qubits."""
-        return validate_density(partial_trace(self.matrix, keep, self.n_qubits))
+    def purity(self) -> float | np.ndarray:
+        p = np.real(np.einsum("...ij,...ji->...", self.matrix, self.matrix))
+        return float(p) if p.ndim == 0 else p
 
 
 def validate_density(m: np.ndarray) -> DensityMatrix:
-    """Wrap a matrix as a DensityMatrix, naming the violated invariant on failure.
+    """Wrap a matrix, or an (..., d, d) stack, as a DensityMatrix, naming the violated invariant.
 
     Positivity (no eigenvalue below -1e-10) is certified by a Cholesky factorization
     of m + 0.5e-10 I; only if that fails does the spectrum decide, by the same rule.
+    A stack is checked once per invariant; its first bad matrix (row-major) fails as alone.
     """
     m = np.asarray(m, dtype=complex)
     n = n_qubits_of(m)
     if not is_hermitian(m):
         raise ValueError("density matrix is not Hermitian within 1e-10")
     shifted = m.copy()
-    shifted.flat[:: m.shape[0] + 1] += ATOL / 2
+    shifted.reshape(m.shape[:-2] + (-1,))[..., :: m.shape[-1] + 1] += ATOL / 2
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}") from None
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > ATOL:
+        min_eigs = np.linalg.eigvalsh(m)[..., 0].reshape(-1)
+        negative = min_eigs[min_eigs < -ATOL]
+        if negative.size:
+            raise ValueError(f"density matrix has negative eigenvalue {negative[0]:.3e}") from None
+    tr = m.trace(axis1=-2, axis2=-1)
+    if (abs(tr - 1.0) > ATOL).any():
+        tr = tr.reshape(-1)
+        tr = tr[abs(tr - 1.0) > ATOL][0]
         raise ValueError(f"density matrix trace is {tr.real:.12g}, expected 1")
     out = m.copy()
     out.setflags(write=False)

@@ -103,6 +103,16 @@ class TestPptSeparable:
             assert verdict.min_eigenvalue >= -1e-10
             assert verdict.separable is True
 
+    def test_single_state_gives_python_scalars(self):
+        verdict = ppt_separable(make_werner(0.5), {1})
+        assert type(verdict.ppt) is bool and type(verdict.min_eigenvalue) is float
+
+    def test_stack_gives_arrays(self):
+        stack = np.stack([make_bell_state("phi+").matrix, make_werner(0.3).matrix])
+        verdict = ppt_separable(validate_density(stack.reshape(2, 1, 4, 4)), {0})
+        assert verdict.separable.tolist() == [[False], [True]]
+        assert np.allclose(verdict.min_eigenvalue, [[-0.5], [(1 - 3 * 0.3) / 4]], atol=1e-12)
+
     def test_partition_validation(self):
         with pytest.raises(ValueError, match="partition"):
             ppt_separable(make_bell_state("phi+"), set())
@@ -346,3 +356,7 @@ class TestPersistency:
     def test_grid_validated(self):
         with pytest.raises(ValueError, match="grid"):
             persistency_scan(1)
+
+    def test_grid_capped(self):
+        with pytest.raises(ValueError, match="grid must be between 2 and 1024, got 1025"):
+            persistency_scan(1025)

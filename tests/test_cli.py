@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,38 @@ class TestSweep:
         assert code == 0
         assert len(assembled) == 0
         assert len(rotated) == 0
+
+    def test_one_stacked_check(self, tmp_path, monkeypatch):
+        # every reduced state of the grid is validated and PPT-tested as one stack
+        path = write(tmp_path, "chsh.txt", CHSH_MAX)
+        validated = []
+        validate = oltsim.protocol.validate_density
+        monkeypatch.setattr(
+            oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
+        )
+        tested = []
+        ppt = oltsim.cli.ppt_separable
+        monkeypatch.setattr(oltsim.cli, "ppt_separable", lambda *a: tested.append(1) or ppt(*a))
+        code, _ = run_cli(["sweep", path, "--grid", "6", "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert validated == [(6, 6, 4, 4)]
+        assert len(tested) == 1
+
+    @pytest.mark.parametrize("grid", ["1025", "100000000"])
+    def test_grid_cap_rejected_before_any_work(self, tmp_path, capsys, grid):
+        path = write(tmp_path, "chsh.txt", CHSH_MAX)
+        out_csv = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["sweep", path, "--grid", grid, "--out", str(out_csv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert not out_csv.exists()
+        assert f"grid must be between 2 and 1024, got {grid}" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_entangled_system_matches_direct_verdicts(self, tmp_path):
         path = write(tmp_path, "ent.txt", ENTANGLED_SYSTEM)

@@ -172,19 +172,19 @@ class TestFlipMixtures:
         system, ancilla = random_density(rng, 5), random_density(rng, 5)
         lists = [[random_setting(rng)] for _ in range(5)]
         (i, direct), = reduced_states(system, ancilla, lists)
-        (j, mixture), = flip_mixtures(system, ancilla, lists)
-        assert i == j == (0,) * 5
-        assert np.max(np.abs(direct.matrix - mixture.matrix)) < 1e-12
+        mixtures = flip_mixtures(system, ancilla, lists)
+        assert i == (0,) * 5
+        assert mixtures.matrix.shape == (1,) * 5 + (32, 32)
+        assert np.max(np.abs(direct.matrix - mixtures.matrix[i])) < 1e-12
 
     def test_correlated_pair_mixture_form(self):
         thetas = np.linspace(-math.pi, math.pi, 5)
         system, ancilla = make_classical_correlated(2), make_bell_state("phi+")
         states = flip_mixtures(system, ancilla, [so2(*thetas), so2(0.0)])
-        for (i, j), red in states:
-            delta = thetas[i]
+        assert states.matrix.shape == (5, 1, 4, 4)
+        for i, delta in enumerate(thetas):
             expected = 0.5 * (1 + math.cos(delta)) * RHO_CC + 0.5 * (1 - math.cos(delta)) * RHO_ANTI
-            assert j == 0
-            assert np.allclose(red.matrix, expected, atol=1e-12)
+            assert np.allclose(states.matrix[i, 0], expected, atol=1e-12)
 
     def test_every_state_validated(self, monkeypatch):
         validated = []
@@ -193,16 +193,19 @@ class TestFlipMixtures:
             oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
         )
         system, ancilla = make_werner(0.3), make_bell_state("psi-")
-        states = list(flip_mixtures(system, ancilla, [so2(0, 1, 2), so2(3, 4)]))
-        assert [idx for idx, _ in states] == list(np.ndindex(3, 2))
-        assert validated == [(4, 4)] * 6
+        lists = [so2(0, 1, 2), so2(3, 4)]
+        states = flip_mixtures(system, ancilla, lists)
+        assert validated == [(3, 2, 4, 4)]
+        # row-major: stack entry idx is reduced_states' state at idx
+        for idx, red in reduced_states(system, ancilla, lists):
+            assert np.max(np.abs(states.matrix[idx] - red.matrix)) < 1e-12
 
     def test_inputs_checked(self):
         system, ancilla = make_basis_state("00"), make_bell_state("phi+")
         with pytest.raises(ValueError, match="party count mismatch"):
-            next(flip_mixtures(make_basis_state("000"), ancilla, [so2(0)] * 3))
+            flip_mixtures(make_basis_state("000"), ancilla, [so2(0)] * 3)
         with pytest.raises(ValueError, match="expected 2 setting lists"):
-            next(flip_mixtures(system, ancilla, [so2(0)]))
+            flip_mixtures(system, ancilla, [so2(0)])
         with pytest.raises(ValueError, match="at least one setting"):
             flip_distribution(ancilla, [so2(0), []])
 

@@ -167,6 +167,20 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
             validate_density(boundary_state(d, -2e-10))
 
+    def test_stack_shifts_every_diagonal(self, monkeypatch):
+        # each matrix of the stack gets its own 0.5e-10 shift: -0.3e-10 is
+        # certified without the spectrum, -0.7e-10 in one slice falls through
+        calls = spectrum_calls(monkeypatch)
+        stack = np.array([boundary_state(4, -0.3e-10)] * 6).reshape(3, 2, 4, 4)
+        assert validate_density(stack).matrix.shape == (3, 2, 4, 4)
+        assert not calls
+        stack[2, 1] = boundary_state(4, -0.7e-10)
+        validate_density(stack)
+        assert calls
+        stack[1, 0] = boundary_state(4, -2e-10)
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
+            validate_density(stack)
+
     def test_rank_one_projector_certified(self, monkeypatch):
         ket = np.array([1, 1j]) @ np.random.default_rng(3).normal(size=(2, 256))
         ket /= np.linalg.norm(ket)
@@ -189,6 +203,11 @@ class TestValidateDensity:
         ]:
             again = validate_density(dm.matrix)
             assert again.n_qubits == dm.n_qubits
+
+    def test_stack_purity_per_state(self):
+        stack = validate_density(np.array([make_werner(0.0).matrix, make_bell_state("psi+").matrix]))
+        assert np.allclose(stack.purity, [0.25, 1.0], atol=1e-12)
+        assert type(make_werner(0.5).purity) is float
 
     def test_matrix_is_read_only(self):
         dm = make_werner(0.5)
