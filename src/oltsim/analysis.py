@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import BellFunctional, evaluate
-from .gates import SO2, SU2, AngleSetting, observables_from_bloch, setting_from_bloch
+from .gates import SO2, SU2, AngleSetting, setting_from_bloch
 from .linalg import _LETTERS, ATOL, dag
 from .protocol import (
     apply_olts,
@@ -29,7 +29,7 @@ from .protocol import (
     flip_mixtures,
     parity,
     reduced_state,
-    table_from_observables,
+    table_from_observables,  # noqa: F401  (the tracer tests patch and restore it here)
 )
 from .states import (
     DensityMatrix,
@@ -98,6 +98,12 @@ def ppt_separable(rho: DensityMatrix, partition) -> PptVerdict:
 # angle optimization
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best |functional value| found, with the settings that achieve it."""
@@ -127,19 +133,21 @@ def optimize_angles(
     overflows. Each restart draws uniform random vectors and runs see-saw
     sweeps: party k's vectors become v <- G/|G|, where G contracts the scaled
     coefficients and T with the other parties' vectors (projected onto the xz
-    plane in so2 mode; a zero row keeps its vector). Sweeps stop when one
-    gains less than `sweep_tol` in the scaled value, evaluated through
-    `table_from_observables`, or after `max_sweeps`. Maximizing the signed
-    value suffices: flipping one party's vectors flips its sign. The best
-    vectors come back as settings (phi = 0 in su2 mode), and the returned
-    best value is recomputed from them through the public evaluation path.
+    plane in so2 mode; a zero row keeps its vector). The value is linear in
+    the last party's vectors, so a sweep scores as that party's G . v with no
+    new contraction of the ancilla; sweeps stop when one gains less than
+    `sweep_tol`, or after `max_sweeps`. Maximizing the signed value suffices:
+    flipping one party's vectors flips its sign. The best vectors come back
+    as settings (phi = 0 in su2 mode), and the returned best value is
+    recomputed from them through `correlator_table` and `evaluate`.
     """
     if budget < 1:
-        raise ValueError(f"restart budget must be >= 1, got {budget}")
+        raise ValueError(f"budget of restarts must be >= 1, got {budget}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if mode not in (SO2, SU2):
         raise ValueError(f"mode must be '{SO2}' or '{SU2}', got {mode!r}")
+    rng = _rng(seed)
     n = system.n_qubits
     if ancilla.n_qubits != n:
         raise ValueError(
@@ -160,7 +168,6 @@ def optimize_angles(
         for k in range(n)
     ]
 
-    rng = np.random.default_rng(seed)
     best_vectors = None
     best_val = -math.inf
     best_converged = False
@@ -177,8 +184,8 @@ def optimize_angles(
                 norms = np.linalg.norm(g, axis=1)
                 moved = norms > ATOL
                 vectors[k][moved] = g[moved] / norms[moved, None]
-            table = table_from_observables(ancilla, [observables_from_bloch(v) for v in vectors])
-            val = float(np.sum(coeff * table))
+            # linear in the last party's vectors, with g taken after every other party moved
+            val = float(np.sum(g * vectors[-1]))
             if val - before < sweep_tol:
                 converged = True
                 break
@@ -190,7 +197,7 @@ def optimize_angles(
     settings = tuple(
         tuple(setting_from_bloch(mode, v) for v in party) for party in best_vectors
     )
-    table = correlator_table(system, ancilla, settings, method="factorized")
+    table = correlator_table(system, ancilla, settings)
     best_value = abs(evaluate(functional, table))
     return OptimizationResult(
         best_value=best_value,
@@ -248,7 +255,7 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
         raise ValueError(f"parties must be between 2 and 5, got {parties}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst = worst_state = 0.0
     for t in range(trials):
         if t % 2 == 0:

@@ -71,8 +71,7 @@ def cmd_run(args, out) -> int:
 def cmd_optimize(args, out) -> int:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
-    _echo_scenario(scenario, out)
-    out.write("\n")
+    # optimize first: a bad restart count or seed exits 2 before any output
     result = optimize_angles(
         scenario.system,
         scenario.ancilla,
@@ -83,6 +82,8 @@ def cmd_optimize(args, out) -> int:
     )
     bound = classical_bound(scenario.functional)
     margin = result.best_value - bound
+    _echo_scenario(scenario, out)
+    out.write("\n")
     out.write(f"optimization (mode {scenario.mode}, restarts {result.restarts_used}, seed {seed})\n")
     out.write(f"best |value|    : {result.best_value:.15g}\n")
     out.write(f"classical bound : {bound:.15g}\n")

@@ -91,11 +91,3 @@ def expectation(obs: np.ndarray, rho: np.ndarray) -> float:
     if abs(val.imag) >= ATOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e} >= 1e-10")
     return val.real
-
-
-def herm_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending."""
-    n_qubits_of(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(m)

@@ -6,13 +6,13 @@ of the fixed z-basis measurement on the reduced system state are computed two
 ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
 conjugates it by one unitary per setting combination, validates every state on
 the way, and reads the correlator as the `parity` of the reduced state. The
-factorized route multiplies the system's `parity` by the expectation on the
-locally rotated ancilla, where each setting enters only through the Bloch
-vector of its measured observable. The two must agree for every input, which
-the analysis module verifies by randomized campaign. The reduced state itself
-is the bit-flip mixture sum_a p(a) X^a rho_sys X^a, with p the z-diagonal of
-the rotated ancilla; `flip_mixtures` builds it without the 2N-qubit register,
-as one validated (M_1, ..., M_N, d, d) stack over all setting combinations.
+factorized route multiplies the system's `parity` by `table_from_observables`,
+the one contraction of the ancilla, on the Bloch-vector observables v . sigma
+of the settings. The two must agree for every input, which the analysis
+module verifies by randomized campaign. The reduced state itself is the
+bit-flip mixture sum_a p(a) X^a rho_sys X^a, with p the same contraction on
+the outcome projectors (I +- v . sigma)/2; `flip_mixtures` builds it without
+the 2N-qubit register, as one validated (M_1, ..., M_N, d, d) stack.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -33,9 +33,8 @@ from .gates import (
     observables_from_bloch,
     olt_unitary,
     pauli,
-    rotation,
 )
-from .linalg import _LETTERS, ATOL, dag, expectation, kron_all, partial_trace
+from .linalg import ATOL, dag, expectation, kron_all, partial_trace
 from .states import DensityMatrix, validate_density
 
 
@@ -79,13 +78,13 @@ def _check_settings(settings: Sequence[AngleSetting], n: int):
         raise ValueError(f"expected {n} settings, one per party, got {len(settings)}")
 
 
-def _table_shape(per_party_settings: Sequence[Sequence[AngleSetting]], n: int) -> tuple[int, ...]:
-    if len(per_party_settings) != n:
-        raise ValueError(f"expected {n} setting lists, got {len(per_party_settings)}")
-    shape = tuple(len(lst) for lst in per_party_settings)
-    if any(m == 0 for m in shape):
+def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> list[np.ndarray]:
+    """Each party's measured observables v . sigma, as one (M_k, 2, 2) stack with M_k >= 1."""
+    if len(per_party) != n:
+        raise ValueError(f"expected {n} setting lists, got {len(per_party)}")
+    if any(len(lst) == 0 for lst in per_party):
         raise ValueError("every party needs at least one setting")
-    return shape
+    return [observables_from_bloch(np.array([bloch_vector(s) for s in lst])) for lst in per_party]
 
 
 def apply_olts(state: ProtocolState, settings: Sequence[AngleSetting]) -> ProtocolState:
@@ -125,21 +124,22 @@ def reduced_state(
 def flip_distribution(
     ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
 ) -> np.ndarray:
-    """p(a | combination) = <a| R chi R^dag |a>, shape (M_1, ..., M_N, 2^N).
+    """p(a | combination) = tr[(P_1 x ... x P_N) chi], shape (M_1, ..., M_N, 2^N).
 
-    R is the product of the parties' rotations at the combination; a is the
-    row-major index of the N ancilla bits. Contracted one party at a time:
-    each step sums that party's row and column index of chi against
-    R[s, a, i] R*[s, a, j] and appends its (s, a) axes.
+    P_k = (I + (-1)^(a_k) v_k . sigma)/2 is party k's outcome projector, v_k the
+    Bloch vector of its setting, and a the row-major index of the N ancilla
+    bits: the z-diagonal of the rotated ancilla, as one `table_from_observables`
+    over the 2 M_k projectors of every party.
     """
     n = ancilla.n_qubits
-    shape = _table_shape(per_party_settings, n)
-    t = ancilla.matrix.reshape((2,) * (2 * n))
-    for k, lst in enumerate(per_party_settings):
-        r = np.array([rotation(s) for s in lst])
-        t = np.tensordot(t, r[:, :, :, None] * r.conj()[:, :, None, :], axes=([0, n - k], [2, 3]))
-    t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return t.real.reshape(shape + (2**n,))
+    eye = np.eye(2)
+    projectors = [
+        np.stack([eye + obs, eye - obs], axis=1).reshape(-1, 2, 2) / 2
+        for obs in _observable_stacks(per_party_settings, n)
+    ]
+    shape = tuple(len(lst) for lst in per_party_settings)
+    p = table_from_observables(ancilla, projectors).reshape([d for m in shape for d in (m, 2)])
+    return p.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(shape + (2**n,))
 
 
 def flip_mixtures(
@@ -205,31 +205,17 @@ def correlator_table(
     system: DensityMatrix,
     ancilla: DensityMatrix,
     per_party_settings: Sequence[Sequence[AngleSetting]],
-    method: str = "factorized",
 ) -> np.ndarray:
-    """Correlator for every combination of one setting per party.
+    """Correlator for every combination of one setting per party, by the factorized route.
 
     The result has one axis per party, of length equal to that party's number
-    of settings. The factorized route evaluates the whole table in a single
-    tensor contraction; the direct route simulates every combination.
+    of settings: the system's `parity` times `table_from_observables` on the
+    parties' measured observables. The direct route's table is the `parity` of
+    each of `reduced_states`.
     """
     _check_parties(system, ancilla)
-    shape = _table_shape(per_party_settings, system.n_qubits)
-
-    if method == "direct":
-        table = np.empty(shape)
-        for idx, red in reduced_states(system, ancilla, per_party_settings):
-            table[idx] = parity(red)
-        return table
-    if method != "factorized":
-        raise ValueError(f"unknown method {method!r}; expected 'factorized' or 'direct'")
-
-    sys_factor = parity(system)
-    stacks = [
-        observables_from_bloch(np.array([bloch_vector(s) for s in lst]))
-        for lst in per_party_settings
-    ]
-    return sys_factor * table_from_observables(ancilla, stacks)
+    stacks = _observable_stacks(per_party_settings, system.n_qubits)
+    return parity(system) * table_from_observables(ancilla, stacks)
 
 
 def correlation_tensor(ancilla: DensityMatrix) -> np.ndarray:
@@ -244,14 +230,17 @@ def correlation_tensor(ancilla: DensityMatrix) -> np.ndarray:
 def table_from_observables(ancilla: DensityMatrix, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Expectations tr[(O_1 x ... x O_N) chi] for every combination of observables.
 
-    stacks[i] has shape (M_i, 2, 2); the result has shape (M_1, ..., M_N).
+    stacks[k] has shape (M_k, 2, 2); the result has shape (M_1, ..., M_N). This
+    is the one contraction of the ancilla on the factorized side, one party at
+    a time: each step sums that party's row and column index of chi against
+    O_k's column and row index and appends its M_k axis.
     """
     n = ancilla.n_qubits
-    chi_t = ancilla.matrix.reshape((2,) * (2 * n))
-    subs = [_LETTERS[i] + _LETTERS[n + i] + _LETTERS[2 * n + i] for i in range(n)]
-    chi_sub = _LETTERS[2 * n : 3 * n] + _LETTERS[n : 2 * n]
-    out = _LETTERS[:n]
-    table = np.einsum(",".join(subs) + "," + chi_sub + "->" + out, *stacks, chi_t)
+    if len(stacks) != n:
+        raise ValueError(f"expected {n} observable stacks, one per party, got {len(stacks)}")
+    table = ancilla.matrix.reshape((2,) * (2 * n))
+    for k, obs in enumerate(stacks):
+        table = np.tensordot(table, obs, axes=([0, n - k], [2, 1]))
     residue = float(np.max(np.abs(table.imag)))
     if residue >= ATOL:
         raise ValueError(f"correlator table has imaginary residue {residue:.3e} >= 1e-10")

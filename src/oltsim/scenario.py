@@ -102,10 +102,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     seed = 0
     if "seed" in raw:
         lineno, value = raw["seed"]
-        try:
-            seed = int(value)
-        except ValueError:
-            raise ScenarioError(source, lineno, f"seed must be an integer, got {value!r}") from None
+        if not value.isdecimal():
+            raise ScenarioError(source, lineno, f"seed must be a non-negative integer, got {value!r}")
+        seed = int(value)
 
     label = raw["label"][1] if "label" in raw else ""
 

@@ -124,7 +124,7 @@ def make_ghz(n: int, phase: complex = 1.0) -> DensityMatrix:
     if n < 2:
         raise ValueError(f"GHZ state needs n >= 2 parties, got {n}")
     phase = complex(phase)
-    if abs(abs(phase) - 1.0) > ATOL:
+    if not abs(abs(phase) - 1.0) <= ATOL:  # NaN fails it too
         raise ValueError(f"GHZ phase must have unit modulus, got |{phase}| = {abs(phase):.12g}")
     ket = np.zeros(2**n, dtype=complex)
     ket[0] = 1 / np.sqrt(2)

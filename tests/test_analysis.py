@@ -214,6 +214,10 @@ class TestOptimizer:
                 make_basis_state("00"), make_werner(0.5), make_chsh(), budget=0, seed=1
             )
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            optimize_angles(make_basis_state("00"), make_werner(0.5), make_chsh(), seed=-1)
+
 
 class TestAngleShiftInvariance:
     def test_common_offset_leaves_correlators(self):
@@ -236,6 +240,10 @@ class TestVerifyFactorization:
     def test_three_parties(self):
         report = verify_factorization(100, 3, seed=1)
         assert report.passed
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            verify_factorization(1, 2, seed=-1)
 
     def test_seed_independent(self):
         # the agreement is algebraic, not statistical

@@ -211,6 +211,22 @@ class TestOptimize:
         assert out1 == out2
         assert "seed 5" in out1
 
+    @pytest.mark.parametrize(
+        "flags, named", [(["--restarts", "0"], "restarts"), (["--seed", "-3"], "seed")]
+    )
+    def test_bad_arguments_rejected_before_any_output(self, capsys, flags, named):
+        code, out = run_cli(["optimize", str(SCENARIOS / "chsh_max.txt"), *flags])
+        assert code == 2
+        assert out == ""
+        assert named in capsys.readouterr().err
+
+    def test_negative_scenario_seed_rejected_before_any_output(self, tmp_path, capsys):
+        path = write(tmp_path, "negative.txt", CHSH_MAX.replace("seed = 7", "seed = -4"))
+        code, out = run_cli(["optimize", path])
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_chsh_max_scenario_reaches_maximum(self, tmp_path):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)
         code, out = run_cli(["optimize", path, "--restarts", "6"])
@@ -331,6 +347,12 @@ class TestVerify:
     def test_three_parties(self):
         code, out = run_cli(["verify", "--parties", "3", "--trials", "30"])
         assert code == 0
+
+    def test_negative_seed_exit(self, capsys):
+        code, out = run_cli(["verify", "--parties", "2", "--trials", "1", "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_bad_parties_exit(self, capsys):
         for parties in ("6", "7"):

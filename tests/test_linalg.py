@@ -1,9 +1,9 @@
-"""Tensor-core operations: products, partial traces, spectra, expectations."""
+"""Tensor-core operations: products, partial traces, expectations."""
 
 import numpy as np
 import pytest
 
-from oltsim import dag, expectation, herm_eigenvalues, kron, kron_all, partial_trace
+from oltsim import dag, expectation, kron, kron_all, partial_trace
 from oltsim.gates import pauli
 from oltsim.states import make_bell_state, make_classical_correlated, make_werner
 
@@ -13,12 +13,6 @@ I2 = np.eye(2, dtype=complex)
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return g + dag(g)
-
-
-def random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestKron:
@@ -134,33 +128,6 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             expectation(pauli(3), np.eye(4, dtype=complex) / 4)
-
-
-class TestHermEigenvalues:
-    def test_pauli_z(self):
-        assert np.allclose(herm_eigenvalues(pauli(3)), [-1.0, 1.0], atol=1e-12)
-
-    def test_maximally_mixed_qubit(self):
-        assert np.allclose(herm_eigenvalues(I2 / 2), [0.5, 0.5], atol=1e-12)
-
-    def test_partial_transpose_of_singlet(self):
-        # spectrum {(1-3p)/4, (1+p)/4 x3} at p=1 gives {-1/2, 1/2, 1/2, 1/2}
-        rho = make_werner(1.0).matrix
-        pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        assert np.allclose(herm_eigenvalues(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            herm_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            m = random_hermitian(rng, 8)
-            u = random_unitary(rng, 8)
-            before = herm_eigenvalues(m)
-            after = herm_eigenvalues(u @ m @ dag(u))
-            assert np.allclose(before, after, atol=1e-9)
 
 
 def test_kron_all_chain():

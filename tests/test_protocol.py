@@ -16,7 +16,6 @@ from oltsim import (
     correlation_direct,
     correlation_factorized,
     correlator_table,
-    herm_eigenvalues,
     make_basis_state,
     make_bell_state,
     make_classical_correlated,
@@ -31,7 +30,14 @@ from oltsim import (
 from oltsim.analysis import random_density, random_diagonal_state, random_setting
 from oltsim.gates import bloch_vector, embed, olt_unitary, pauli, rotation
 from oltsim.linalg import kron_all
-from oltsim.protocol import correlation_tensor, flip_distribution, flip_mixtures, reduced_states
+from oltsim.protocol import (
+    correlation_tensor,
+    flip_distribution,
+    flip_mixtures,
+    parity,
+    reduced_states,
+    table_from_observables,
+)
 
 RHO_CC = make_classical_correlated(2).matrix
 RHO_ANTI = 0.5 * (make_basis_state("01").matrix + make_basis_state("10").matrix)
@@ -96,8 +102,8 @@ class TestApplyOlts:
         before = assemble(system, ancilla)
         after = apply_olts(before, so2(0.9, -0.4))
         assert np.allclose(
-            herm_eigenvalues(before.full_state.matrix),
-            herm_eigenvalues(after.full_state.matrix),
+            np.linalg.eigvalsh(before.full_state.matrix),
+            np.linalg.eigvalsh(after.full_state.matrix),
             atol=1e-9,
         )
 
@@ -309,9 +315,9 @@ class TestCorrelatorTable:
         system = make_classical_correlated(2)
         ancilla = make_werner(0.9)
         settings = [so2(0.0, math.pi / 2), so2(math.pi / 4, -math.pi / 4)]
-        direct = correlator_table(system, ancilla, settings, method="direct")
-        fact = correlator_table(system, ancilla, settings, method="factorized")
-        assert np.max(np.abs(direct - fact)) < 1e-10
+        fact = correlator_table(system, ancilla, settings)
+        for idx, red in reduced_states(system, ancilla, settings):
+            assert fact[idx] == pytest.approx(parity(red), abs=1e-10)
 
     def test_su2_table(self):
         system = make_basis_state("000")
@@ -355,14 +361,35 @@ class TestCorrelatorTable:
         expected = correlation_tensor(ancilla)
         for party in settings:
             expected = np.tensordot(expected, np.array([bloch_vector(s) for s in party]), axes=([0], [1]))
-        table = correlator_table(system, ancilla, settings, method="direct")
-        assert np.max(np.abs(table - s0 * expected)) < 1e-10
+        for idx, red in reduced_states(system, ancilla, settings):
+            assert parity(red) == pytest.approx(s0 * expected[idx], abs=1e-10)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            correlator_table(
-                make_basis_state("00"), make_bell_state("phi+"), [so2(0.0), so2(0.0)], method="x"
-            )
+
+class TestTableFromObservables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_trace(self, n):
+        rng = np.random.default_rng(53 + n)
+        ancilla = random_density(rng, n)
+        stacks = []
+        for m in [1 + k % 3 for k in range(n)]:  # ragged: 1, 2, 3, 1, ...
+            g = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+            stacks.append(g + g.conj().swapaxes(-1, -2))
+        table = table_from_observables(ancilla, stacks)
+        assert table.shape == tuple(len(obs) for obs in stacks)
+        for idx in np.ndindex(table.shape):
+            dense = np.trace(kron_all([obs[i] for obs, i in zip(stacks, idx)]) @ ancilla.matrix)
+            assert table[idx] == pytest.approx(dense.real, rel=1e-12, abs=1e-12)
+
+    def test_one_stack_per_party(self):
+        with pytest.raises(ValueError, match="expected 3 observable stacks, one per party, got 1"):
+            table_from_observables(make_ghz(3, 1.0), [np.stack([pauli(3)])])
+
+    def test_imaginary_residue_rejected(self):
+        ancilla = make_bell_state("phi+")
+        eye = np.eye(2, dtype=complex)
+        table_from_observables(ancilla, [eye[None] * (1 + 1e-11j), eye[None]])
+        with pytest.raises(ValueError, match=r"imaginary residue 2\.000e-10 >= 1e-10"):
+            table_from_observables(ancilla, [eye[None] * (1 + 2e-10j), eye[None]])
 
 
 class TestSettingLocality:

@@ -116,6 +116,11 @@ class TestParseErrors:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(FULL.replace("seed = 7", "seed = x"))
 
+    def test_negative_seed_rejected_at_its_line(self):
+        with pytest.raises(ScenarioError, match="seed must be a non-negative integer") as info:
+            parse_scenario(FULL.replace("seed = 7", "seed = -4"))
+        assert info.value.line == FULL.splitlines().index("seed = 7") + 1
+
 
 class TestRoundTrip:
     def test_format_reparses_to_equivalent(self):

@@ -121,6 +121,13 @@ class TestGhz:
         with pytest.raises(ValueError, match="unit modulus"):
             make_ghz(3, 0.5)
 
+    @pytest.mark.parametrize("phase", ["nan", "nan+nanj"])
+    def test_rejects_nan_phase(self, phase):
+        with pytest.raises(ValueError, match="unit modulus"):
+            make_ghz(3, complex(phase))
+        with pytest.raises(ValueError, match="unit modulus"):
+            parse_state_spec(f"ghz:3,{phase}")
+
 
 def boundary_state(d, min_eig):
     """Unit-trace diagonal state whose smallest eigenvalue is `min_eig`."""
