@@ -297,9 +297,9 @@ def check_final_state_form(theta_a: float, theta_b: float) -> float:
     system = make_basis_state("00")
     ancilla = make_bell_state("phi+")
     settings = [AngleSetting.so2(theta_a), AngleSetting.so2(theta_b)]
-    state = apply_olts(assemble(system, ancilla), settings)
+    register = apply_olts(assemble(system, ancilla), settings)
     ket = closed_form_final_ket(theta_a, theta_b)
-    fid = complex(ket.conj() @ state.full_state.matrix @ ket)
+    fid = complex(ket.conj() @ register.matrix @ ket)
     return float(fid.real)
 
 

@@ -38,13 +38,6 @@ def n_qubits_of(m: np.ndarray) -> int:
     return d.bit_length() - 1
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with `a` on the more significant qubits."""
-    n_qubits_of(a)
-    n_qubits_of(b)
-    return np.kron(a, b)
-
-
 def kron_all(ops) -> np.ndarray:
     """Tensor product of a sequence of operators, left to right."""
     ops = list(ops)

@@ -4,15 +4,16 @@ Each of the N parties holds one system qubit and one ancilla qubit and applies
 a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
 ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
-conjugates it by one unitary per setting combination, validates every state on
-the way, and reads the correlator as the `parity` of the reduced state. The
-factorized route multiplies the system's `parity` by `table_from_observables`,
-the one contraction of the ancilla, on the Bloch-vector observables v . sigma
-of the settings. The two must agree for every input, which the analysis
-module verifies by randomized campaign. The reduced state itself is the
-bit-flip mixture sum_a p(a) X^a rho_sys X^a, with p the same contraction on
-the outcome projectors (I +- v . sigma)/2; `flip_mixtures` builds it without
-the 2N-qubit register, as one validated (M_1, ..., M_N, d, d) stack.
+applies each party's gate to its own two qubits per setting combination,
+validates every state on the way, and reads the correlator as the `parity` of
+the reduced state. The factorized route multiplies the system's `parity` by
+`table_from_observables`, the one contraction of the ancilla, on the
+Bloch-vector observables v . sigma of the settings. The two must agree for
+every input, which the analysis module verifies by randomized campaign. The
+reduced state itself is the bit-flip mixture sum_a p(a) X^a rho_sys X^a, with
+p the same contraction on the outcome projectors (I +- v . sigma)/2;
+`flip_mixtures` builds it without the 2N-qubit register, as one validated
+(M_1, ..., M_N, d, d) stack.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -20,7 +21,6 @@ party i owning qubits i and N+i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,33 +29,17 @@ from .gates import (
     PAULIS,
     AngleSetting,
     bloch_vector,
-    embed,
     observables_from_bloch,
     olt_unitary,
     pauli,
 )
-from .linalg import ATOL, dag, expectation, kron_all, partial_trace
-from .states import DensityMatrix, validate_density
+from .linalg import ATOL, expectation, kron_all, partial_trace
+from .states import DensityMatrix, check_qubits, validate_density
 
 
 def z_string(n: int) -> np.ndarray:
     """Parity observable on n qubits: tensor power of diag(1, -1)."""
     return kron_all([pauli(3)] * n)
-
-
-@dataclass(frozen=True, eq=False)
-class ProtocolState:
-    """Full 2N-qubit state at some stage of the protocol."""
-
-    n_parties: int
-    full_state: DensityMatrix
-
-    def __post_init__(self):
-        if self.full_state.n_qubits != 2 * self.n_parties:
-            raise ValueError(
-                f"full state has {self.full_state.n_qubits} qubits, "
-                f"expected {2 * self.n_parties} for {self.n_parties} parties"
-            )
 
 
 def _check_parties(system: DensityMatrix, ancilla: DensityMatrix):
@@ -66,11 +50,18 @@ def _check_parties(system: DensityMatrix, ancilla: DensityMatrix):
         )
 
 
-def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> ProtocolState:
-    """Product of system and ancilla states in the fixed register layout."""
+def _register_parties(register: DensityMatrix) -> int:
+    """N for a register of 2N qubits, one system and one ancilla qubit per party."""
+    if register.n_qubits % 2:
+        raise ValueError(f"register has {register.n_qubits} qubits, expected 2N: two per party")
+    return register.n_qubits // 2
+
+
+def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> DensityMatrix:
+    """Validated 2N-qubit register: the product of system and ancilla in the fixed layout."""
     _check_parties(system, ancilla)
-    full = np.kron(system.matrix, ancilla.matrix)
-    return ProtocolState(system.n_qubits, validate_density(full))
+    check_qubits(2 * system.n_qubits)
+    return validate_density(np.kron(system.matrix, ancilla.matrix))
 
 
 def _check_settings(settings: Sequence[AngleSetting], n: int):
@@ -87,21 +78,27 @@ def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> l
     return [observables_from_bloch(np.array([bloch_vector(s) for s in lst])) for lst in per_party]
 
 
-def apply_olts(state: ProtocolState, settings: Sequence[AngleSetting]) -> ProtocolState:
-    """Conjugate by the Kronecker product of all parties' gates, on qubits 0, N, 1, N+1, ..."""
-    n = state.n_parties
+def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
+    """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag.
+
+    Party-major view, one 4-dim axis per party for rows, then columns: each of 2N steps
+    contracts the leading axis with U_i (rows) or U_i* (columns) and appends the result.
+    """
+    n = _register_parties(register)
     _check_settings(settings, n)
-    pairs = [q for i in range(n) for q in (i, n + i)]
-    u = embed(kron_all([olt_unitary(s) for s in settings]), pairs, 2 * n)
-    out = u @ state.full_state.matrix @ dag(u)
-    return ProtocolState(n, validate_density(out))
+    gates = [olt_unitary(s) for s in settings]
+    order = [side + q for side in (0, 2 * n) for i in range(n) for q in (i, n + i)]
+    t = register.matrix.reshape((2,) * (4 * n)).transpose(order).reshape((4,) * (2 * n))
+    for u in gates + [g.conj() for g in gates]:
+        t = np.tensordot(t, u, axes=([0], [1]))
+    t = t.reshape((2,) * (4 * n)).transpose(np.argsort(order))
+    return validate_density(t.reshape(register.matrix.shape))
 
 
-def reduced_system(state: ProtocolState) -> DensityMatrix:
-    """Trace out all ancilla qubits."""
-    n = state.n_parties
-    red = partial_trace(state.full_state.matrix, range(n), 2 * n)
-    return validate_density(red)
+def reduced_system(register: DensityMatrix) -> DensityMatrix:
+    """Trace out the ancilla qubits N..2N-1, leaving each party's system qubit."""
+    n = _register_parties(register)
+    return validate_density(partial_trace(register.matrix, range(n), 2 * n))
 
 
 def reduced_states(

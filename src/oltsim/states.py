@@ -8,6 +8,14 @@ import numpy as np
 
 from .linalg import ATOL, is_hermitian, n_qubits_of
 
+MAX_QUBITS = 12  # largest state the constructors build: 2^12 x 2^12 complex is 268 MB
+
+
+def check_qubits(n: int):
+    """Reject a state on more than MAX_QUBITS qubits before it is allocated."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS} qubits per state")
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -74,6 +82,7 @@ def make_basis_state(bits: str) -> DensityMatrix:
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"bit string must be a nonempty sequence of 0/1, got {bits!r}")
     n = len(bits)
+    check_qubits(n)
     ket = np.zeros(2**n, dtype=complex)
     ket[int(bits, 2)] = 1.0
     return validate_density(projector(ket))
@@ -83,6 +92,7 @@ def make_classical_correlated(n: int) -> DensityMatrix:
     """Equal mixture of |0...0><0...0| and |1...1><1...1| on n parties."""
     if n < 2:
         raise ValueError(f"classical correlated state needs n >= 2 parties, got {n}")
+    check_qubits(n)
     d = 2**n
     m = np.zeros((d, d), dtype=complex)
     m[0, 0] = 0.5
@@ -123,6 +133,7 @@ def make_ghz(n: int, phase: complex = 1.0) -> DensityMatrix:
     """Projector onto (|0...0> + phase |1...1>)/sqrt(2) for a unit-modulus phase."""
     if n < 2:
         raise ValueError(f"GHZ state needs n >= 2 parties, got {n}")
+    check_qubits(n)
     phase = complex(phase)
     if not abs(abs(phase) - 1.0) <= ATOL:  # NaN fails it too
         raise ValueError(f"GHZ phase must have unit modulus, got |{phase}| = {abs(phase):.12g}")

@@ -21,7 +21,6 @@ from oltsim import (
     cnot,
     correlator_table,
     evaluate,
-    kron,
     make_basis_state,
     make_bell_state,
     make_chsh,
@@ -116,10 +115,10 @@ def test_criterion_5_decomposition_identity():
     angles = list(rng.uniform(-2 * math.pi, 2 * math.pi, size=100)) + [0.0, math.pi / 2, math.pi]
     for theta in angles:
         lhs = olt_unitary(AngleSetting.so2(theta))
-        rhs = cnot() @ kron(identity2, rotation_so2(theta))
+        rhs = cnot() @ np.kron(identity2, rotation_so2(theta))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-    conj = cnot() @ kron(pauli(3), identity2) @ cnot()
-    assert np.array_equal(conj, kron(pauli(3), pauli(3)))
+    conj = cnot() @ np.kron(pauli(3), identity2) @ cnot()
+    assert np.array_equal(conj, np.kron(pauli(3), pauli(3)))
     report(5, "olt = cnot (I x R) within 1e-12; cnot z-conjugation exact", started)
 
 
@@ -138,7 +137,7 @@ def test_criterion_7_separability_persistency():
         assemble(make_basis_state("00"), make_bell_state("phi+")),
         [AngleSetting.so2(math.pi / 2), AngleSetting.so2(0.0)],
     )
-    verdict = ppt_separable(state.full_state, {2, 3})
+    verdict = ppt_separable(state, {2, 3})
     assert not verdict.ppt
     assert verdict.min_eigenvalue < -1e-10
     report(

@@ -19,7 +19,6 @@ from oltsim import (
     correlation_factorized,
     correlator_table,
     evaluate,
-    kron,
     make_basis_state,
     make_bell_state,
     make_chsh,
@@ -98,7 +97,7 @@ class TestPptSeparable:
         for _ in range(5):
             a = random_density(rng, 1).matrix
             b = random_density(rng, 1).matrix
-            dm = validate_density(kron(a, b))
+            dm = validate_density(np.kron(a, b))
             verdict = ppt_separable(dm, {0})
             assert verdict.min_eigenvalue >= -1e-10
             assert verdict.separable is True
@@ -129,13 +128,13 @@ def horodecki_chsh_max(system, ancilla, mode):
     those axes (Horodecki et al., Phys. Lett. A 200, 340 (1995)), scaled by
     the system parity factor.
     """
-    zz = kron(pauli(3), pauli(3))
+    zz = np.kron(pauli(3), pauli(3))
     sys_factor = float(np.trace(zz @ system.matrix).real)
     axes = [pauli(k) for k in ((3, 1) if mode == "so2" else (3, 1, 2))]
     m = np.empty((len(axes), len(axes)))
     for i, oa in enumerate(axes):
         for j, ob in enumerate(axes):
-            m[i, j] = float(np.trace(kron(oa, ob) @ ancilla.matrix).real)
+            m[i, j] = float(np.trace(np.kron(oa, ob) @ ancilla.matrix).real)
     s = np.linalg.svd(m, compute_uv=False)
     return 2 * abs(sys_factor) * math.sqrt(s[0] ** 2 + s[1] ** 2)
 
@@ -350,7 +349,7 @@ class TestPersistency:
         state = apply_olts(
             assemble(make_basis_state("00"), make_bell_state("phi+")), so2(math.pi / 2, 0.0)
         )
-        verdict = ppt_separable(state.full_state, {2, 3})
+        verdict = ppt_separable(state, {2, 3})
         assert not verdict.ppt
         assert verdict.min_eigenvalue == pytest.approx(-0.25, abs=1e-10)
 
@@ -358,7 +357,7 @@ class TestPersistency:
         state = apply_olts(
             assemble(make_basis_state("00"), make_bell_state("phi+")), so2(0.0, 0.0)
         )
-        verdict = ppt_separable(state.full_state, {0})
+        verdict = ppt_separable(state, {0})
         assert not verdict.ppt
 
     def test_grid_validated(self):

@@ -172,6 +172,24 @@ class TestRun:
         assert out == ""
         assert "enumeration cap exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "system, ancilla",
+        [("classical_correlated:20", "bell:phi+"), ("basis:00", "ghz:20,1")],
+    )
+    def test_oversized_state_rejected_before_any_work(self, tmp_path, capsys, system, ancilla):
+        text = CHSH_MAX.replace("classical_correlated:2", system).replace("bell:phi+", ancilla)
+        path = write(tmp_path, "big.txt", text)
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["run", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "20 qubits exceeds the cap of 12 qubits" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
         rotated = count_calls(monkeypatch, "apply_olts")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oltsim import dag, expectation, kron, kron_all, partial_trace
+from oltsim import dag, expectation, kron_all, partial_trace
 from oltsim.gates import pauli
 from oltsim.states import make_bell_state, make_classical_correlated, make_werner
 
@@ -17,17 +17,17 @@ def random_hermitian(rng, d):
 
 class TestKron:
     def test_identity_case(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
+        assert np.array_equal(kron_all([I2, I2]), np.eye(4))
 
     def test_diagonal_product(self):
-        assert np.array_equal(kron(pauli(3), pauli(3)), np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(kron_all([pauli(3), pauli(3)]), np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_x_with_z_block_structure(self):
         # expanded by hand from the definition: off-diagonal blocks carry z
         expected = np.zeros((4, 4), dtype=complex)
         expected[0:2, 2:4] = pauli(3)
         expected[2:4, 0:2] = pauli(3)
-        assert np.array_equal(kron(pauli(1), pauli(3)), expected)
+        assert np.array_equal(kron_all([pauli(1), pauli(3)]), expected)
 
     def test_associative_and_trace_multiplicative(self):
         rng = np.random.default_rng(42)
@@ -35,20 +35,18 @@ class TestKron:
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 4)
             c = random_hermitian(rng, 2)
-            left = kron(kron(a, b), c)
-            right = kron(a, kron(b, c))
+            left = kron_all([kron_all([a, b]), c])
+            right = kron_all([a, kron_all([b, c])])
             assert np.allclose(left, right, atol=1e-12)
-            assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b), atol=1e-9)
+            assert np.allclose(kron_all([a, b, c]), left, atol=1e-12)
+            assert np.isclose(np.trace(kron_all([a, b])), np.trace(a) * np.trace(b), atol=1e-9)
 
     def test_bilinear(self):
         rng = np.random.default_rng(7)
         a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        assert np.allclose(kron(a + 2 * b, c), kron(a, c) + 2 * kron(b, c), atol=1e-12)
-        assert np.allclose(kron(c, a + 2 * b), kron(c, a) + 2 * kron(c, b), atol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            kron(np.ones((2, 3)), I2)
+        left, right = kron_all([a + 2 * b, c]), kron_all([c, a + 2 * b])
+        assert np.allclose(left, kron_all([a, c]) + 2 * kron_all([b, c]), atol=1e-12)
+        assert np.allclose(right, kron_all([c, a]) + 2 * kron_all([c, b]), atol=1e-12)
 
 
 class TestPartialTrace:
@@ -92,16 +90,16 @@ class TestExpectation:
     def test_computational_eigenstate(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert expectation(kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_classically_correlated_eigenvalue_one(self):
         rho = make_classical_correlated(2).matrix
-        assert expectation(kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_parity(self):
         # identity part traceless against z x z, singlet contributes -p
         rho = make_werner(0.7).matrix
-        assert expectation(kron(pauli(3), pauli(3)), rho) == pytest.approx(-0.7, abs=1e-12)
+        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(-0.7, abs=1e-12)
 
     def test_linear_in_both_arguments(self):
         rng = np.random.default_rng(21)

@@ -50,18 +50,18 @@ def so2(*thetas):
 class TestAssemble:
     def test_product_layout_and_purity(self):
         state = assemble(make_basis_state("00"), make_bell_state("phi+"))
-        assert state.n_parties == 2
-        assert state.full_state.purity == pytest.approx(1.0, abs=1e-12)
+        assert state.n_qubits == 4
+        assert state.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_system_marginal_returns_input(self):
         system = make_classical_correlated(2)
         state = assemble(system, make_bell_state("phi+"))
-        red = partial_trace(state.full_state.matrix, {0, 1}, 4)
+        red = partial_trace(state.matrix, {0, 1}, 4)
         assert np.allclose(red, system.matrix, atol=1e-12)
 
     def test_mixed_factor_purity(self):
         state = assemble(make_classical_correlated(2), make_bell_state("phi+"))
-        assert state.full_state.purity == pytest.approx(0.5, abs=1e-12)
+        assert state.purity == pytest.approx(0.5, abs=1e-12)
 
     def test_party_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -74,17 +74,17 @@ class TestApplyOlts:
         ket = np.zeros(16, dtype=complex)
         ket[0b0000] = 1 / math.sqrt(2)
         ket[0b1111] = 1 / math.sqrt(2)
-        assert np.allclose(state.full_state.matrix, np.outer(ket, ket.conj()), atol=1e-12)
+        assert np.allclose(state.matrix, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_diagonal_states_stay_diagonal_at_zero_angle(self):
         system = make_classical_correlated(2)
         ancilla = validate_density(np.diag([0.4, 0.1, 0.2, 0.3]))
         state = apply_olts(assemble(system, ancilla), so2(0, 0))
-        full = state.full_state.matrix
+        full = state.matrix
         # the controlled NOTs only permute populations: no coherences appear
         assert np.allclose(full, np.diag(np.diag(full)), atol=1e-12)
         # each basis label (a b a' b') moves to (a^a' b^b' a' b')
-        before = np.diag(assemble(system, ancilla).full_state.matrix).real
+        before = np.diag(assemble(system, ancilla).matrix).real
         after = np.diag(full).real
         for label in range(16):
             a, b, ap, bp = (label >> 3) & 1, (label >> 2) & 1, (label >> 1) & 1, label & 1
@@ -102,8 +102,8 @@ class TestApplyOlts:
         before = assemble(system, ancilla)
         after = apply_olts(before, so2(0.9, -0.4))
         assert np.allclose(
-            np.linalg.eigvalsh(before.full_state.matrix),
-            np.linalg.eigvalsh(after.full_state.matrix),
+            np.linalg.eigvalsh(before.matrix),
+            np.linalg.eigvalsh(after.matrix),
             atol=1e-9,
         )
 
@@ -119,12 +119,26 @@ class TestApplyOlts:
         state = assemble(random_density(rng, n), random_density(rng, n))
         settings = [AngleSetting.so2(rng.uniform(-6, 6)), AngleSetting.su2(*rng.uniform(-6, 6, 3))]
         settings += [random_setting(rng) for _ in range(n - 2)]
-        expected = state.full_state.matrix
+        expected = state.matrix
         for i, setting in enumerate(settings):
             u = embed(olt_unitary(setting), [i, n + i], 2 * n)
             expected = u @ expected @ u.conj().T
-        got = apply_olts(state, settings).full_state.matrix
+        got = apply_olts(state, settings).matrix
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+class TestRegisterInvariant:
+    @pytest.mark.parametrize("bits", ["000", "00000"])
+    def test_odd_qubit_count_rejected(self, bits):
+        register = make_basis_state(bits)
+        with pytest.raises(ValueError, match="qubits, expected 2N: two per party"):
+            apply_olts(register, so2(0.0, 0.0))
+        with pytest.raises(ValueError, match="qubits, expected 2N: two per party"):
+            reduced_system(register)
+
+    def test_register_cap_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="14 qubits exceeds the cap of 12 qubits"):
+            assemble(make_ghz(7, 1.0), make_ghz(7, 1.0))
 
 
 class TestReducedSystem:

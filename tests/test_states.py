@@ -1,11 +1,15 @@
 """State constructors, validation, and the tagged spec grammar."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oltsim import expectation, kron_all, partial_trace, validate_density
 from oltsim.gates import pauli
 from oltsim.states import (
+    MAX_QUBITS,
+    check_qubits,
     make_basis_state,
     make_bell_state,
     make_classical_correlated,
@@ -245,3 +249,34 @@ class TestParseStateSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_state_spec(bad)
+
+
+class TestSizeCap:
+    def test_cap_is_twelve_qubits(self):
+        assert MAX_QUBITS == 12
+        check_qubits(12)
+        with pytest.raises(ValueError, match="13 qubits exceeds the cap of 12 qubits"):
+            check_qubits(13)
+
+    @pytest.mark.parametrize("n", [13, 20])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: make_basis_state("0" * n),
+            make_classical_correlated,
+            lambda n: make_ghz(n, 1.0),
+            lambda n: parse_state_spec(f"basis:{'1' * n}"),
+            lambda n: parse_state_spec(f"classical_correlated:{n}"),
+            lambda n: parse_state_spec(f"ghz:{n},1"),
+        ],
+        ids=["basis", "classical", "ghz", "spec-basis", "spec-classical", "spec-ghz"],
+    )
+    def test_rejected_before_allocation(self, build, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} qubits exceeds the cap of 12 qubits"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
