@@ -28,7 +28,7 @@ from .protocol import (
     correlator_table,
     flip_mixtures,
     parity,
-    reduced_state,
+    reduced_system,
     table_from_observables,  # noqa: F401  (the tracer tests patch and restore it here)
 )
 from .states import (
@@ -264,7 +264,7 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
             system = random_density(rng, parties)
         ancilla = random_density(rng, parties)
         settings = [random_setting(rng) for _ in range(parties)]
-        red = reduced_state(system, ancilla, settings)
+        red = reduced_system(apply_olts(assemble(system, ancilla), settings))
         mixture = flip_mixtures(system, ancilla, [[s] for s in settings]).matrix[(0,) * parties]
         worst_state = max(worst_state, float(np.max(np.abs(red.matrix - mixture))))
         worst = max(worst, abs(parity(red) - correlation_factorized(system, ancilla, settings)))

@@ -29,10 +29,10 @@ def _echo_scenario(scenario: Scenario, out) -> None:
     out.write(SCENARIO_END + "\n")
 
 
-def _verdict_text(verdict) -> str:
+def _verdict_text(verdict, idx) -> str:
     if verdict.conclusive:
-        return "separable" if verdict.ppt else "entangled"
-    return "PPT (inconclusive)" if verdict.ppt else "NPT"
+        return "separable" if verdict.ppt[idx] else "entangled"
+    return "PPT (inconclusive)" if verdict.ppt[idx] else "NPT"
 
 
 def _stabilizer_text(result) -> str:
@@ -49,15 +49,13 @@ def cmd_run(args, out) -> int:
 
     out.write(f"stabilizer eigenvalue : {_stabilizer_text(stabilizer_eigenvalue(scenario.system))}\n")
 
-    table = np.empty(tuple(len(party) for party in scenario.settings))
+    states = reduced_states(scenario.system, scenario.ancilla, scenario.settings)
+    table = parity(states)
+    ppt = ppt_separable(states, {0})
     out.write("correlators (direct route):\n")
-    for idx, red in reduced_states(scenario.system, scenario.ancilla, scenario.settings):
-        table[idx] = parity(red)
-        verdict = ppt_separable(red, {0})
+    for idx in np.ndindex(table.shape):
         label = ",".join(str(i + 1) for i in idx)
-        out.write(
-            f"  setting ({label}): {table[idx]:+.15g}   reduced state: {_verdict_text(verdict)}\n"
-        )
+        out.write(f"  setting ({label}): {table[idx]:+.15g}   reduced state: {_verdict_text(ppt, idx)}\n")
 
     report = violation_report(scenario.functional, table)
     out.write(f"functional      : {scenario.functional.label}\n")

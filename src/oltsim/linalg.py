@@ -47,15 +47,15 @@ def kron_all(ops) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
-    """Trace out all qubits of an n-qubit operator except `keep`.
+    """Trace out all qubits of an n-qubit operator, or of each of an (..., d, d) stack, except `keep`.
 
     The result acts on the kept qubits in increasing index order. Linear and
     trace preserving; for keep = all qubits it returns the input unchanged.
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    if rho.shape != (2**n, 2**n):
-        raise ValueError(f"expected a {2**n}x{2**n} matrix for n={n}, got shape {rho.shape}")
+    if rho.shape[-2:] != (2**n, 2**n):
+        raise ValueError(f"expected {2**n}x{2**n} matrices for n={n}, got shape {rho.shape}")
     kept = sorted(set(int(q) for q in keep))
     for q in kept:
         if not 0 <= q < n:
@@ -64,9 +64,9 @@ def partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
     row = [_LETTERS[q] for q in range(n)]
     col = [_LETTERS[n + q] if q in kept_set else row[q] for q in range(n)]
     out = "".join(row[q] for q in kept) + "".join(_LETTERS[n + q] for q in kept)
-    sub = "".join(row) + "".join(col) + "->" + out
+    sub = "..." + "".join(row) + "".join(col) + "->..." + out
     d = 2 ** len(kept)
-    return np.einsum(sub, rho.reshape((2,) * (2 * n))).reshape(d, d)
+    return np.einsum(sub, rho.reshape(rho.shape[:-2] + (2,) * (2 * n))).reshape(rho.shape[:-2] + (d, d))
 
 
 def expectation(obs: np.ndarray, rho: np.ndarray) -> float:

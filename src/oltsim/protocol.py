@@ -4,16 +4,16 @@ Each of the N parties holds one system qubit and one ancilla qubit and applies
 a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
 ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
-applies each party's gate to its own two qubits per setting combination,
-validates every state on the way, and reads the correlator as the `parity` of
-the reduced state. The factorized route multiplies the system's `parity` by
-`table_from_observables`, the one contraction of the ancilla, on the
-Bloch-vector observables v . sigma of the settings. The two must agree for
-every input, which the analysis module verifies by randomized campaign. The
-reduced state itself is the bit-flip mixture sum_a p(a) X^a rho_sys X^a, with
-p the same contraction on the outcome projectors (I +- v . sigma)/2;
-`flip_mixtures` builds it without the 2N-qubit register, as one validated
-(M_1, ..., M_N, d, d) stack.
+applies each party's channel U x U* to its own (row, column) index pair, for
+all setting combinations in bounded blocks, validates every state as one stack
+per block, and reads the correlators as the `parity` of the reduced states. The
+factorized route multiplies the system's `parity` by `table_from_observables`,
+the one contraction of the ancilla, on the Bloch-vector observables v . sigma of
+the settings. The two must agree for every input, which the analysis module
+verifies by randomized campaign. The reduced state itself is the bit-flip
+mixture sum_a p(a) X^a rho_sys X^a, with p the same contraction on the outcome
+projectors (I +- v . sigma)/2; `flip_mixtures` builds it without the 2N-qubit
+register, as one validated (M_1, ..., M_N, d, d) stack.
 
 Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
 party i owning qubits i and N+i.
@@ -21,7 +21,7 @@ party i owning qubits i and N+i.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .gates import (
     olt_unitary,
     pauli,
 )
-from .linalg import ATOL, expectation, kron_all, partial_trace
+from .linalg import ATOL, kron_all, partial_trace
 from .states import DensityMatrix, check_qubits, validate_density
+
+BLOCK_ENTRIES = 2**15  # complex entries of the rotated registers stacked in one block: 512 KiB
 
 
 def z_string(n: int) -> np.ndarray:
@@ -69,53 +71,73 @@ def _check_settings(settings: Sequence[AngleSetting], n: int):
         raise ValueError(f"expected {n} settings, one per party, got {len(settings)}")
 
 
-def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> list[np.ndarray]:
-    """Each party's measured observables v . sigma, as one (M_k, 2, 2) stack with M_k >= 1."""
+def _setting_shape(per_party: Sequence[Sequence[AngleSetting]], n: int) -> tuple[int, ...]:
     if len(per_party) != n:
         raise ValueError(f"expected {n} setting lists, got {len(per_party)}")
     if any(len(lst) == 0 for lst in per_party):
         raise ValueError("every party needs at least one setting")
+    return tuple(len(lst) for lst in per_party)
+
+
+def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> list[np.ndarray]:
+    """Each party's measured observables v . sigma, as one (M_k, 2, 2) stack with M_k >= 1."""
+    _setting_shape(per_party, n)
     return [observables_from_bloch(np.array([bloch_vector(s) for s in lst])) for lst in per_party]
 
 
-def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
-    """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag.
+def _channels(settings: Sequence[AngleSetting]) -> np.ndarray:
+    """U x U* per setting on one party's 16-dim (row, column) pair, its output split into 4 qubit axes."""
+    u = np.array([olt_unitary(s) for s in settings])
+    return np.einsum("mab,mcd->macbd", u, u.conj()).reshape(-1, 2, 2, 2, 2, 16)
 
-    Party-major view, one 4-dim axis per party for rows, then columns: each of 2N steps
-    contracts the leading axis with U_i (rows) or U_i* (columns) and appends the result.
-    """
+
+def _pair_major(register: DensityMatrix, n: int) -> np.ndarray:
+    """The register as a (16,) * N tensor: axis i is party i's (row, column) pair of qubits i, N+i."""
+    order = [q for i in range(n) for q in (i, n + i, 2 * n + i, 3 * n + i)]
+    return register.matrix.reshape((2,) * (4 * n)).transpose(order).reshape((16,) * n)
+
+
+def _rotate(pairs: np.ndarray, channels: Sequence[np.ndarray]) -> np.ndarray:
+    """Registers rotated by every combination of the channels, one tensordot per party: (B, D, D)."""
+    for c in channels:
+        pairs = np.tensordot(pairs, c, axes=([0], [5]))
+    n = len(channels)
+    return pairs.transpose([5 * i + k for k in range(5) for i in range(n)]).reshape(-1, 4**n, 4**n)
+
+
+def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
+    """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag."""
     n = _register_parties(register)
     _check_settings(settings, n)
-    gates = [olt_unitary(s) for s in settings]
-    order = [side + q for side in (0, 2 * n) for i in range(n) for q in (i, n + i)]
-    t = register.matrix.reshape((2,) * (4 * n)).transpose(order).reshape((4,) * (2 * n))
-    for u in gates + [g.conj() for g in gates]:
-        t = np.tensordot(t, u, axes=([0], [1]))
-    t = t.reshape((2,) * (4 * n)).transpose(np.argsort(order))
-    return validate_density(t.reshape(register.matrix.shape))
+    return validate_density(_rotate(_pair_major(register, n), [_channels([s]) for s in settings])[0])
 
 
 def reduced_system(register: DensityMatrix) -> DensityMatrix:
-    """Trace out the ancilla qubits N..2N-1, leaving each party's system qubit."""
+    """Trace out the ancilla qubits N..2N-1 of a register or stack, leaving each party's system qubit."""
     n = _register_parties(register)
     return validate_density(partial_trace(register.matrix, range(n), 2 * n))
 
 
 def reduced_states(
     system: DensityMatrix, ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
-) -> Iterator[tuple[tuple[int, ...], DensityMatrix]]:
-    """(index, reduced state) per setting combination, row-major, off one assembled register."""
-    register = assemble(system, ancilla)
-    for idx in np.ndindex(*(len(lst) for lst in per_party_settings)):
-        chosen = [lst[i] for lst, i in zip(per_party_settings, idx)]
-        yield idx, reduced_system(apply_olts(register, chosen))
-
-
-def reduced_state(
-    system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
 ) -> DensityMatrix:
-    """Assemble, apply every party's unitary at its setting, and trace out the ancillas."""
-    return next(reduced_states(system, ancilla, [[s] for s in settings]))[1]
+    """Every combination's reduced state off one register, as a row-major (M_1, ..., M_N, d, d) stack.
+
+    Blocks stack the trailing parties while their rotated registers fit BLOCK_ENTRIES (else one
+    combination each); per block, rotated registers and reduced states are validated as one stack each.
+    """
+    n = system.n_qubits
+    pairs = _pair_major(assemble(system, ancilla), n)
+    shape = _setting_shape(per_party_settings, n)
+    channels = [_channels(lst) for lst in per_party_settings]
+    split = next((k for k in range(n) if np.prod(shape[k:]) * 16**n <= BLOCK_ENTRIES), n)
+    blocks = []
+    for lead in np.ndindex(*shape[:split]):
+        block = [c[i : i + 1] for c, i in zip(channels, lead)] + channels[split:]
+        blocks.append(reduced_system(validate_density(_rotate(pairs, block))).matrix)
+    out = np.concatenate(blocks).reshape(shape + (2**n, 2**n))
+    out.setflags(write=False)
+    return DensityMatrix(out, n)
 
 
 def flip_distribution(
@@ -156,16 +178,16 @@ def flip_mixtures(
     return validate_density((p @ flipped).reshape(p.shape[:-1] + (d, d)))
 
 
-def parity(state: DensityMatrix) -> float:
-    """Expectation of the z-basis parity observable on every qubit of `state`."""
-    return expectation(z_string(state.n_qubits), state.matrix)
+def parity(state: DensityMatrix) -> float | np.ndarray:
+    """Z-basis parity expectation of a state, or of each of a stack: its diagonal against Z^N's signs."""
+    return state.matrix.diagonal(axis1=-2, axis2=-1).real @ kron_all([[1.0, -1.0]] * state.n_qubits)
 
 
 def correlation_direct(
     system: DensityMatrix, ancilla: DensityMatrix, settings: Sequence[AngleSetting]
 ) -> float:
     """Full-register simulation of one correlator: the parity of the reduced state."""
-    return parity(reduced_state(system, ancilla, settings))
+    return parity(reduced_system(apply_olts(assemble(system, ancilla), settings)))
 
 
 def correlation_factorized(

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 import oltsim
-from oltsim import AngleSetting, correlation_factorized, parse_scenario, ppt_separable
+from oltsim import (
+    AngleSetting,
+    correlation_factorized,
+    embed,
+    expectation,
+    olt_unitary,
+    parse_scenario,
+    partial_trace,
+    ppt_separable,
+    z_string,
+)
 from oltsim.cli import SCENARIO_BEGIN, SCENARIO_END, main
 from oltsim.protocol import reduced_states
 
@@ -82,6 +92,35 @@ def count_calls(monkeypatch, name):
         if mod_name.startswith("oltsim") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def block_scenario(shape, system, ancilla, seed):
+    """A custom-functional `run` scenario with random so2 and su2 settings of the given shape."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-3, 4, size=math.prod(shape))
+    coeffs[0] = 1
+
+    def setting():
+        if rng.random() < 0.5:
+            return f"so2:{rng.uniform(-math.pi, math.pi):.17g}"
+        return "su2:" + ",".join(f"{a:.17g}" for a in rng.uniform(-math.pi, math.pi, 3))
+
+    settings = " | ".join(", ".join(setting() for _ in range(m)) for m in shape)
+    functional = "custom:" + "x".join(map(str, shape)) + ":" + ",".join(map(str, coeffs))
+    return (
+        f"label = blocks\nsystem = {system}\nancilla = {ancilla}\nfunctional = {functional}\n"
+        f"mode = su2\nsettings = {settings}\n"
+    )
+
+
+def reference_reduced_state(system, ancilla, settings):
+    """Per-combination reference: each party's gate embedded in the full register, then the trace."""
+    n = system.n_qubits
+    rho = np.kron(system.matrix, ancilla.matrix)
+    for i, setting in enumerate(settings):
+        u = embed(olt_unitary(setting), [i, n + i], 2 * n)
+        rho = u @ rho @ u.conj().T
+    return partial_trace(rho, range(n), 2 * n)
 
 
 class TestRun:
@@ -192,19 +231,84 @@ class TestRun:
 
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
-        rotated = count_calls(monkeypatch, "apply_olts")
         # only the protocol's own validations: the assembled, rotated and reduced states
         validated = []
         validate = oltsim.protocol.validate_density
         monkeypatch.setattr(
             oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
         )
+        tested = []
+        ppt = oltsim.cli.ppt_separable
+        monkeypatch.setattr(oltsim.cli, "ppt_separable", lambda *a: tested.append(1) or ppt(*a))
         code, out = run_cli(["run", str(SCENARIOS / "mermin_ghz.txt")])
         assert code == 0
         assert out.count("  setting (") == 8
         assert len(assembled) == 1
-        assert len(rotated) == 8
-        assert sorted(validated) == [(8, 8)] * 8 + [(64, 64)] * 9
+        assert len(tested) == 1  # one PPT test of the whole stack of reduced states
+        assert validated.count((64, 64)) == 1  # the assembled register, unstacked
+        # matrices validated per dimension, counted across the stacks: the assembled
+        # register and 8 rotated registers (64), 8 reduced states (8)
+        counted = {}
+        for shape in validated:
+            counted[shape[-1]] = counted.get(shape[-1], 0) + math.prod(shape[:-2])
+        assert counted == {64: 1 + 8, 8: 8}
+
+    @pytest.mark.parametrize(
+        "shape, system, ancilla, blocks",
+        [
+            # 8 rotated 3-party registers fit one block: 10 blocks, one per (party 1, party 2)
+            ((2, 5, 8), "classical_correlated:3", "ghz:3,0.6+0.8i", [(8, 64, 64)] * 10),
+            # one 4-party register already exceeds the block budget: one combination per block
+            ((2, 2, 2, 2), "basis:0110", "ghz:4,i", [(1, 256, 256)] * 16),
+        ],
+    )
+    def test_blocks_match_per_combination_reference(
+        self, tmp_path, monkeypatch, shape, system, ancilla, blocks
+    ):
+        text = block_scenario(shape, system, ancilla, seed=sum(shape))
+        scenario = parse_scenario(text)
+        n = len(shape)
+        validated, stacks = [], []
+        validate = oltsim.protocol.validate_density
+        monkeypatch.setattr(
+            oltsim.protocol, "validate_density", lambda m: validated.append(m.shape) or validate(m)
+        )
+        simulate = oltsim.cli.reduced_states
+        monkeypatch.setattr(
+            oltsim.cli, "reduced_states", lambda *a: stacks.append(simulate(*a)) or stacks[-1]
+        )
+        code, out = run_cli(["run", write(tmp_path, "blocks.txt", text)])
+        assert code == 0
+        assert [s for s in validated if len(s) == 3 and s[-1] == 4**n] == blocks
+        (states,) = stacks
+        assert states.matrix.shape == shape + (2**n, 2**n)
+        assert not states.matrix.flags.writeable
+        lines = [line for line in out.splitlines() if line.startswith("  setting (")]
+        assert len(lines) == math.prod(shape)
+        for idx, line in zip(np.ndindex(shape), lines):
+            chosen = [party[i] for party, i in zip(scenario.settings, idx)]
+            expected = reference_reduced_state(scenario.system, scenario.ancilla, chosen)
+            assert np.max(np.abs(states.matrix[idx] - expected)) < 1e-12
+            assert line.startswith(f"  setting ({','.join(str(i + 1) for i in idx)}): ")
+            value = float(line.split(": ")[1].split()[0])
+            assert abs(value - expectation(z_string(n), expected)) < 1e-12
+
+    def test_non_unitary_gate_fails_at_first_bad_combination(self, tmp_path, monkeypatch, capsys):
+        # party 1's second gate scaled by sqrt(2) and party 2's fourth by sqrt(3): rotated
+        # registers of trace 2, 3 or 6. The first bad combination row-major is (1,4,1), in the
+        # fourth of 10 blocks, with trace 3; the blocks of (2,*,*) would report 2 or 6. No
+        # correlator line is written before every combination has been validated.
+        text = block_scenario((2, 5, 8), "classical_correlated:3", "ghz:3,i", seed=5)
+        settings = parse_scenario(text).settings
+        scale = {settings[0][1]: math.sqrt(2), settings[1][3]: math.sqrt(3)}
+        unitary = oltsim.protocol.olt_unitary
+        monkeypatch.setattr(
+            oltsim.protocol, "olt_unitary", lambda s: scale.get(s, 1.0) * unitary(s)
+        )
+        code, out = run_cli(["run", write(tmp_path, "bad.txt", text)])
+        assert code == 2
+        assert "setting (" not in out
+        assert "error: density matrix trace is 3, expected 1" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "system = basis:0q\nancilla = werner:1\nfunctional = chsh\n")
@@ -331,10 +435,8 @@ class TestSweep:
         column = [line.split(",")[3] for line in out_csv.read_text().splitlines()[1:]]
         scenario = parse_scenario(ENTANGLED_SYSTEM)
         settings = [AngleSetting.so2(t) for t in np.linspace(0.0, math.pi, 9)]
-        direct = [
-            "true" if ppt_separable(red, {0}).separable else "false"
-            for _, red in reduced_states(scenario.system, scenario.ancilla, [settings, settings])
-        ]
+        states = reduced_states(scenario.system, scenario.ancilla, [settings, settings])
+        direct = ["true" if sep else "false" for sep in ppt_separable(states, {0}).separable.flat]
         assert column == direct
         assert column.count("false") == 64
 

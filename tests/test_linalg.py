@@ -85,6 +85,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(np.eye(4, dtype=complex), {2}, 2)
 
+    @pytest.mark.parametrize("keep", [set(), {0}, {1, 2}, {0, 2}, {0, 1, 2}])
+    def test_stack_matches_each_matrix(self, keep):
+        rng = np.random.default_rng(17)
+        stack = np.array([[random_hermitian(rng, 8) for _ in range(3)] for _ in range(2)])
+        got = partial_trace(stack, keep, 3)
+        d = 2 ** len(keep)
+        assert got.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(got[idx] - partial_trace(stack[idx], keep, 3))) < 1e-12
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="expected 4x4 matrices for n=2"):
+            partial_trace(np.zeros((3, 4, 8), dtype=complex), {0}, 2)
+
 
 class TestExpectation:
     def test_computational_eigenstate(self):

@@ -16,6 +16,7 @@ from oltsim import (
     correlation_direct,
     correlation_factorized,
     correlator_table,
+    expectation,
     make_basis_state,
     make_bell_state,
     make_classical_correlated,
@@ -191,11 +192,10 @@ class TestFlipMixtures:
         rng = np.random.default_rng(37)
         system, ancilla = random_density(rng, 5), random_density(rng, 5)
         lists = [[random_setting(rng)] for _ in range(5)]
-        (i, direct), = reduced_states(system, ancilla, lists)
+        direct = reduced_states(system, ancilla, lists)
         mixtures = flip_mixtures(system, ancilla, lists)
-        assert i == (0,) * 5
-        assert mixtures.matrix.shape == (1,) * 5 + (32, 32)
-        assert np.max(np.abs(direct.matrix - mixtures.matrix[i])) < 1e-12
+        assert direct.matrix.shape == mixtures.matrix.shape == (1,) * 5 + (32, 32)
+        assert np.max(np.abs(direct.matrix - mixtures.matrix)) < 1e-12
 
     def test_correlated_pair_mixture_form(self):
         thetas = np.linspace(-math.pi, math.pi, 5)
@@ -217,8 +217,9 @@ class TestFlipMixtures:
         states = flip_mixtures(system, ancilla, lists)
         assert validated == [(3, 2, 4, 4)]
         # row-major: stack entry idx is reduced_states' state at idx
-        for idx, red in reduced_states(system, ancilla, lists):
-            assert np.max(np.abs(states.matrix[idx] - red.matrix)) < 1e-12
+        direct = reduced_states(system, ancilla, lists)
+        assert direct.matrix.shape == states.matrix.shape
+        assert np.max(np.abs(states.matrix - direct.matrix)) < 1e-12
 
     def test_inputs_checked(self):
         system, ancilla = make_basis_state("00"), make_bell_state("phi+")
@@ -302,6 +303,21 @@ class TestCorrelationRoutes:
             )
 
 
+class TestParity:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_each_state(self, n):
+        rng = np.random.default_rng(60 + n)
+        matrices = np.array([[random_density(rng, n).matrix for _ in range(3)] for _ in range(2)])
+        values = parity(validate_density(matrices))
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single = parity(validate_density(matrices[idx]))
+            assert isinstance(single, float)
+            expected = expectation(z_string(n), matrices[idx])
+            assert abs(values[idx] - expected) < 1e-14
+            assert abs(single - expected) < 1e-14
+
+
 class TestStabilizerEigenvalue:
     def test_classical_correlated_plus_one(self):
         result = stabilizer_eigenvalue(make_classical_correlated(2))
@@ -330,8 +346,9 @@ class TestCorrelatorTable:
         ancilla = make_werner(0.9)
         settings = [so2(0.0, math.pi / 2), so2(math.pi / 4, -math.pi / 4)]
         fact = correlator_table(system, ancilla, settings)
-        for idx, red in reduced_states(system, ancilla, settings):
-            assert fact[idx] == pytest.approx(parity(red), abs=1e-10)
+        direct = parity(reduced_states(system, ancilla, settings))
+        assert direct.shape == fact.shape == (2, 2)
+        assert np.max(np.abs(fact - direct)) < 1e-10
 
     def test_su2_table(self):
         system = make_basis_state("000")
@@ -375,8 +392,9 @@ class TestCorrelatorTable:
         expected = correlation_tensor(ancilla)
         for party in settings:
             expected = np.tensordot(expected, np.array([bloch_vector(s) for s in party]), axes=([0], [1]))
-        for idx, red in reduced_states(system, ancilla, settings):
-            assert parity(red) == pytest.approx(s0 * expected[idx], abs=1e-10)
+        direct = parity(reduced_states(system, ancilla, settings))
+        assert direct.shape == expected.shape == (2, 2, 2)
+        assert np.max(np.abs(direct - s0 * expected)) < 1e-10
 
 
 class TestTableFromObservables:
