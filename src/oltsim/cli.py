@@ -26,7 +26,7 @@ SCENARIO_END = "# --- end scenario ---"
 def _echo_scenario(scenario: Scenario, out) -> None:
     out.write(SCENARIO_BEGIN + "\n")
     out.write(format_scenario(scenario))
-    out.write(SCENARIO_END + "\n")
+    out.write(SCENARIO_END + "\n\n")
 
 
 def _verdict_text(verdict, idx) -> str:
@@ -44,20 +44,19 @@ def cmd_run(args, out) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.settings is None:
         raise ScenarioError(args.scenario, None, "run requires explicit settings")
-    _echo_scenario(scenario, out)
-    out.write("\n")
-
-    out.write(f"stabilizer eigenvalue : {_stabilizer_text(stabilizer_eigenvalue(scenario.system))}\n")
-
+    # compute first: an invariant violation exits 2 before any output
+    stabilizer = _stabilizer_text(stabilizer_eigenvalue(scenario.system))
     states = reduced_states(scenario.system, scenario.ancilla, scenario.settings)
     table = parity(states)
     ppt = ppt_separable(states, {0})
+    report = violation_report(scenario.functional, table)
+
+    _echo_scenario(scenario, out)
+    out.write(f"stabilizer eigenvalue : {stabilizer}\n")
     out.write("correlators (direct route):\n")
     for idx in np.ndindex(table.shape):
         label = ",".join(str(i + 1) for i in idx)
         out.write(f"  setting ({label}): {table[idx]:+.15g}   reduced state: {_verdict_text(ppt, idx)}\n")
-
-    report = violation_report(scenario.functional, table)
     out.write(f"functional      : {scenario.functional.label}\n")
     out.write(f"value           : {report.value:.15g}\n")
     out.write(f"|value|         : {abs(report.value):.15g}\n")
@@ -81,7 +80,6 @@ def cmd_optimize(args, out) -> int:
     bound = classical_bound(scenario.functional)
     margin = result.best_value - bound
     _echo_scenario(scenario, out)
-    out.write("\n")
     out.write(f"optimization (mode {scenario.mode}, restarts {result.restarts_used}, seed {seed})\n")
     out.write(f"best |value|    : {result.best_value:.15g}\n")
     out.write(f"classical bound : {bound:.15g}\n")

@@ -82,25 +82,15 @@ def _rz(angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
-def _su2_matrix(phi: float, theta: float, lam: float) -> np.ndarray:
-    return _rz(phi) @ rotation_so2(theta) @ _rz(lam)
-
-
-def rotation_su2(setting: AngleSetting) -> np.ndarray:
-    """Full single-qubit rotation Rz(phi) Ry(theta) Rz(lam).
-
-    Reduces to rotation_so2(theta) when phi = lam = 0.
-    """
-    if setting.mode != SU2:
-        raise ValueError(f"expected an {SU2} setting, got mode {setting.mode!r}")
-    return _su2_matrix(*setting.angles)
-
-
 def rotation(setting: AngleSetting) -> np.ndarray:
-    """The 2x2 rotation a setting describes, in either mode."""
+    """The 2x2 rotation a setting describes: rotation_so2(theta), or Rz(phi) Ry(theta) Rz(lam).
+
+    The su2 form reduces to rotation_so2(theta) when phi = lam = 0.
+    """
     if setting.mode == SO2:
         return rotation_so2(setting.angles[0])
-    return rotation_su2(setting)
+    phi, theta, lam = setting.angles
+    return _rz(phi) @ rotation_so2(theta) @ _rz(lam)
 
 
 def bloch_vector(setting: AngleSetting) -> np.ndarray:
@@ -164,21 +154,14 @@ def cnot() -> np.ndarray:
 def olt_unitary(setting: AngleSetting) -> np.ndarray:
     """Two-qubit transformation on (system, ancilla): CNOT after rotating the ancilla.
 
-    In planar mode the closed form is built entrywise; it coincides with
-    cnot() @ kron(I, rotation) for every setting, which tests assert.
+    Equals cnot() @ kron(I, rotation(setting)) in either mode, which tests assert.
     """
-    if setting.mode == SO2:
-        c, s = math.cos(setting.angles[0] / 2), math.sin(setting.angles[0] / 2)
-        return np.array(
-            [
-                [c, -s, 0, 0],
-                [0, 0, s, c],
-                [0, 0, c, -s],
-                [s, c, 0, 0],
-            ],
-            dtype=complex,
-        )
-    return cnot() @ np.kron(np.eye(2, dtype=complex), rotation_su2(setting))
+    r = rotation(setting)
+    u = np.zeros((4, 4), dtype=complex)
+    # I (x) R is block-diagonal in R; the CNOT sends its rows 0, 1, 2, 3 to rows 0, 3, 2, 1
+    u[[0, 3], :2] = r
+    u[[2, 1], 2:] = r
+    return u
 
 
 def embed(op: np.ndarray, targets, n: int) -> np.ndarray:

@@ -68,19 +68,3 @@ def partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
     d = 2 ** len(kept)
     return np.einsum(sub, rho.reshape(rho.shape[:-2] + (2,) * (2 * n))).reshape(rho.shape[:-2] + (d, d))
 
-
-def expectation(obs: np.ndarray, rho: np.ndarray) -> float:
-    """tr[obs @ rho] for a Hermitian observable; the trace must come out real.
-
-    An imaginary residue at or above 1e-10 signals corrupted inputs and is
-    reported as an error rather than silently discarded.
-    """
-    if obs.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: obs {obs.shape} vs state {rho.shape}")
-    n_qubits_of(obs)
-    if not is_hermitian(obs):
-        raise ValueError("observable is not Hermitian within 1e-10")
-    val = complex(np.einsum("ij,ji->", obs, rho))
-    if abs(val.imag) >= ATOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e} >= 1e-10")
-    return val.real

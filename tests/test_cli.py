@@ -14,7 +14,6 @@ from oltsim import (
     AngleSetting,
     correlation_factorized,
     embed,
-    expectation,
     olt_unitary,
     parse_scenario,
     partial_trace,
@@ -229,6 +228,18 @@ class TestRun:
         assert "20 qubits exceeds the cap of 12 qubits" in capsys.readouterr().err
         assert peak < 1 << 20
 
+    def test_seven_parties_rejected_before_any_output(self, tmp_path, capsys):
+        # each 7-qubit state is within the cap; the 14-qubit register is not
+        settings = " | ".join(["so2:0, so2:pi/2"] * 7)
+        text = (
+            "system = basis:0000000\nancilla = ghz:7,1\n"
+            f"functional = custom:{'x'.join('2' * 7)}:{','.join('1' * 128)}\nsettings = {settings}\n"
+        )
+        code, out = run_cli(["run", write(tmp_path, "seven.txt", text)])
+        assert code == 2
+        assert out == ""
+        assert "14 qubits exceeds the cap of 12 qubits per state" in capsys.readouterr().err
+
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
         # only the protocol's own validations: the assembled, rotated and reduced states
@@ -291,13 +302,13 @@ class TestRun:
             assert np.max(np.abs(states.matrix[idx] - expected)) < 1e-12
             assert line.startswith(f"  setting ({','.join(str(i + 1) for i in idx)}): ")
             value = float(line.split(": ")[1].split()[0])
-            assert abs(value - expectation(z_string(n), expected)) < 1e-12
+            assert abs(value - np.trace(z_string(n) @ expected).real) < 1e-12
 
     def test_non_unitary_gate_fails_at_first_bad_combination(self, tmp_path, monkeypatch, capsys):
         # party 1's second gate scaled by sqrt(2) and party 2's fourth by sqrt(3): rotated
         # registers of trace 2, 3 or 6. The first bad combination row-major is (1,4,1), in the
-        # fourth of 10 blocks, with trace 3; the blocks of (2,*,*) would report 2 or 6. No
-        # correlator line is written before every combination has been validated.
+        # fourth of 10 blocks, with trace 3; the blocks of (2,*,*) would report 2 or 6. Nothing
+        # is written before every combination has been validated.
         text = block_scenario((2, 5, 8), "classical_correlated:3", "ghz:3,i", seed=5)
         settings = parse_scenario(text).settings
         scale = {settings[0][1]: math.sqrt(2), settings[1][3]: math.sqrt(3)}
@@ -307,7 +318,7 @@ class TestRun:
         )
         code, out = run_cli(["run", write(tmp_path, "bad.txt", text)])
         assert code == 2
-        assert "setting (" not in out
+        assert out == ""
         assert "error: density matrix trace is 3, expected 1" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):

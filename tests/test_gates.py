@@ -24,7 +24,6 @@ from oltsim.gates import (
     pauli,
     rotation,
     rotation_so2,
-    rotation_su2,
     setting_from_bloch,
 )
 
@@ -81,26 +80,22 @@ class TestRotationSu2:
         rng = np.random.default_rng(6)
         for theta in rng.uniform(-7, 7, size=10):
             setting = AngleSetting.su2(0.0, theta, 0.0)
-            assert np.allclose(rotation_su2(setting), rotation_so2(theta), atol=1e-12)
+            assert np.allclose(rotation(setting), rotation_so2(theta), atol=1e-12)
 
     def test_unitary_unit_det_modulus(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             setting = AngleSetting.su2(*rng.uniform(-7, 7, size=3))
-            u = rotation_su2(setting)
+            u = rotation(setting)
             assert_unitary(u)
             assert np.isclose(abs(np.linalg.det(u)), 1.0, atol=1e-12)
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="su2"):
-            rotation_su2(AngleSetting.so2(0.3))
-
     def test_shipped_triple_reaches_x(self):
-        r = rotation_su2(Z_TO_X_SETTING)
+        r = rotation(Z_TO_X_SETTING)
         assert np.max(np.abs(dag(r) @ pauli(3) @ r - pauli(1))) < 1e-12
 
     def test_shipped_triple_reaches_y(self):
-        r = rotation_su2(Z_TO_Y_SETTING)
+        r = rotation(Z_TO_Y_SETTING)
         assert np.max(np.abs(dag(r) @ pauli(3) @ r - pauli(2))) < 1e-12
 
     def test_leading_z_rotation_leaves_target(self):
@@ -110,7 +105,7 @@ class TestRotationSu2:
         for gamma in rng.uniform(-7, 7, size=5):
             for base, target in [(Z_TO_X_SETTING, pauli(1)), (Z_TO_Y_SETTING, pauli(2))]:
                 shifted = AngleSetting.su2(base.angles[0] + gamma, *base.angles[1:])
-                r = rotation_su2(shifted)
+                r = rotation(shifted)
                 assert np.max(np.abs(dag(r) @ pauli(3) @ r - target)) < 1e-12
 
 
@@ -153,9 +148,14 @@ class TestOltUnitary:
     def test_decomposition_identity_so2(self):
         rng = np.random.default_rng(12)
         for theta in list(rng.uniform(-7, 7, size=100)) + [0.0, math.pi / 4, math.pi / 2, math.pi]:
-            direct = olt_unitary(AngleSetting.so2(theta))
+            setting = AngleSetting.so2(theta)
+            direct = olt_unitary(setting)
             decomposed = cnot() @ np.kron(I2, rotation_so2(theta))
             assert np.max(np.abs(direct - decomposed)) < 1e-12
+            # bit for bit the closed form with c, s = cos(t/2), sin(t/2)
+            c, s = math.cos(setting.angles[0] / 2), math.sin(setting.angles[0] / 2)
+            entrywise = np.array([[c, -s, 0, 0], [0, 0, s, c], [0, 0, c, -s], [s, c, 0, 0]], dtype=complex)
+            assert np.array_equal(direct, entrywise)
 
     def test_decomposition_identity_su2(self):
         rng = np.random.default_rng(14)

@@ -1,11 +1,11 @@
-"""Tensor-core operations: products, partial traces, expectations."""
+"""Tensor-core operations: products and partial traces."""
 
 import numpy as np
 import pytest
 
-from oltsim import dag, expectation, kron_all, partial_trace
+from oltsim import dag, kron_all, partial_trace
 from oltsim.gates import pauli
-from oltsim.states import make_bell_state, make_classical_correlated, make_werner
+from oltsim.states import make_bell_state, make_werner
 
 I2 = np.eye(2, dtype=complex)
 
@@ -98,48 +98,6 @@ class TestPartialTrace:
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="expected 4x4 matrices for n=2"):
             partial_trace(np.zeros((3, 4, 8), dtype=complex), {0}, 2)
-
-
-class TestExpectation:
-    def test_computational_eigenstate(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_classically_correlated_eigenvalue_one(self):
-        rho = make_classical_correlated(2).matrix
-        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_werner_parity(self):
-        # identity part traceless against z x z, singlet contributes -p
-        rho = make_werner(0.7).matrix
-        assert expectation(np.kron(pauli(3), pauli(3)), rho) == pytest.approx(-0.7, abs=1e-12)
-
-    def test_linear_in_both_arguments(self):
-        rng = np.random.default_rng(21)
-        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
-        r, s = random_hermitian(rng, 4), random_hermitian(rng, 4)
-        assert expectation(a + 2 * b, r) == pytest.approx(
-            expectation(a, r) + 2 * expectation(b, r), abs=1e-9
-        )
-        assert expectation(a, r + 2 * s) == pytest.approx(
-            expectation(a, r) + 2 * expectation(a, s), abs=1e-9
-        )
-
-    def test_imaginary_residue_rejected(self):
-        # a non-Hermitian state sneaks past the observable check and must be
-        # caught by the trace-reality assertion
-        skewed = np.array([[0, 1], [0, 0]], dtype=complex) * 1j
-        with pytest.raises(ValueError, match="imaginary residue"):
-            expectation(pauli(1), skewed)
-
-    def test_non_hermitian_observable_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            expectation(np.array([[0, 1], [0, 0]], dtype=complex), I2 / 2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(pauli(3), np.eye(4, dtype=complex) / 4)
 
 
 def test_kron_all_chain():

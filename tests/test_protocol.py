@@ -16,7 +16,6 @@ from oltsim import (
     correlation_direct,
     correlation_factorized,
     correlator_table,
-    expectation,
     make_basis_state,
     make_bell_state,
     make_classical_correlated,
@@ -313,9 +312,19 @@ class TestParity:
         for idx in np.ndindex(2, 3):
             single = parity(validate_density(matrices[idx]))
             assert isinstance(single, float)
-            expected = expectation(z_string(n), matrices[idx])
+            expected = np.trace(z_string(n) @ matrices[idx]).real
             assert abs(values[idx] - expected) < 1e-14
             assert abs(single - expected) < 1e-14
+
+    def test_computational_eigenstate(self):
+        assert parity(make_basis_state("00")) == pytest.approx(1.0, abs=1e-12)
+
+    def test_classically_correlated_eigenvalue_one(self):
+        assert parity(make_classical_correlated(2)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_werner_parity(self):
+        # identity part traceless against z x z, singlet contributes -p
+        assert parity(make_werner(0.7)) == pytest.approx(-0.7, abs=1e-12)
 
 
 class TestStabilizerEigenvalue:
