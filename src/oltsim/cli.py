@@ -105,9 +105,9 @@ def cmd_sweep(args, out) -> int:
     table = correlator_table(scenario.system, scenario.ancilla, [settings, settings]).tolist()
     states = flip_mixtures(scenario.system, scenario.ancilla, [settings, settings])
     separable = ppt_separable(states, {0}).separable.tolist()
-    angles = thetas.tolist()
+    angles = [f"{t:.15g}" for t in thetas.tolist()]  # formatted once, shared by G rows and G columns
     rows = [
-        f"{a:.15g},{b:.15g},{corr:.15g},{'true' if sep else 'false'}"
+        f"{a},{b},{corr:.15g},{'true' if sep else 'false'}"
         for a, corr_row, sep_row in zip(angles, table, separable)
         for b, corr, sep in zip(angles, corr_row, sep_row)
     ]

@@ -93,18 +93,21 @@ def rotation(setting: AngleSetting) -> np.ndarray:
     return _rz(phi) @ rotation_so2(theta) @ _rz(lam)
 
 
-def bloch_vector(setting: AngleSetting) -> np.ndarray:
-    """Unit Bloch vector (x, y, z) of the measured observable R^dag Z R.
+def bloch_vectors(settings) -> np.ndarray:
+    """Unit Bloch vectors (x, y, z) of the measured observables R^dag Z R, one row per setting: (M, 3).
 
     so2: (-sin t, 0, cos t). su2: (-sin t cos l, sin t sin l, cos t); phi
-    drops out because Rz(phi) commutes with Z.
+    drops out because Rz(phi) commutes with Z. An so2 setting is evaluated as l = 0.
     """
-    if setting.mode == SO2:
-        theta, lam = setting.angles[0], 0.0
-    else:
-        _, theta, lam = setting.angles
-    s = math.sin(theta)
-    return np.array([-s * math.cos(lam), s * math.sin(lam), math.cos(theta)])
+    pairs = [st.angles[1:] if st.mode == SU2 else st.angles + (0.0,) for st in settings]
+    theta_lam = np.array(pairs, dtype=float).reshape(-1, 2).T
+    s, c = np.sin(theta_lam), np.cos(theta_lam)  # rows: theta, lam
+    return np.array([-s[0] * c[1], s[0] * s[1], c[0]]).T
+
+
+def bloch_vector(setting: AngleSetting) -> np.ndarray:
+    """The Bloch vector of one setting: the one row of `bloch_vectors`."""
+    return bloch_vectors([setting])[0]
 
 
 def setting_from_bloch(mode: str, vector) -> AngleSetting:

@@ -28,20 +28,25 @@ import numpy as np
 from .gates import (
     PAULIS,
     AngleSetting,
-    bloch_vector,
+    bloch_vectors,
     observables_from_bloch,
     olt_unitary,
-    pauli,
 )
-from .linalg import ATOL, kron_all, partial_trace
-from .states import DensityMatrix, check_qubits, validate_density
+from .linalg import ATOL, partial_trace
+from .states import BLOCK_ENTRIES, DensityMatrix, check_qubits, validate_density
 
-BLOCK_ENTRIES = 2**15  # complex entries of the rotated registers stacked in one block: 512 KiB
+
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(i) for i < 2^n: the diagonal of Z^N, one doubling per qubit."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    return signs
 
 
 def z_string(n: int) -> np.ndarray:
     """Parity observable on n qubits: tensor power of diag(1, -1)."""
-    return kron_all([pauli(3)] * n)
+    return np.diag(_parity_signs(n)).astype(complex)
 
 
 def _check_parties(system: DensityMatrix, ancilla: DensityMatrix):
@@ -82,7 +87,7 @@ def _setting_shape(per_party: Sequence[Sequence[AngleSetting]], n: int) -> tuple
 def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> list[np.ndarray]:
     """Each party's measured observables v . sigma, as one (M_k, 2, 2) stack with M_k >= 1."""
     _setting_shape(per_party, n)
-    return [observables_from_bloch(np.array([bloch_vector(s) for s in lst])) for lst in per_party]
+    return [observables_from_bloch(bloch_vectors(lst)) for lst in per_party]
 
 
 def _channels(settings: Sequence[AngleSetting]) -> np.ndarray:
@@ -180,7 +185,7 @@ def flip_mixtures(
 
 def parity(state: DensityMatrix) -> float | np.ndarray:
     """Z-basis parity expectation of a state, or of each of a stack: its diagonal against Z^N's signs."""
-    return state.matrix.diagonal(axis1=-2, axis2=-1).real @ kron_all([[1.0, -1.0]] * state.n_qubits)
+    return state.matrix.diagonal(axis1=-2, axis2=-1).real @ _parity_signs(state.n_qubits)
 
 
 def correlation_direct(

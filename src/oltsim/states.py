@@ -9,6 +9,7 @@ import numpy as np
 from .linalg import ATOL, is_hermitian, n_qubits_of
 
 MAX_QUBITS = 12  # largest state the constructors build: 2^12 x 2^12 complex is 268 MB
+BLOCK_ENTRIES = 2**15  # complex entries validated, or rotated registers stacked, in one block: 512 KiB
 
 
 def check_qubits(n: int):
@@ -43,21 +44,27 @@ def validate_density(m: np.ndarray) -> DensityMatrix:
 
     Positivity (no eigenvalue below -1e-10) is certified by a Cholesky factorization
     of m + 0.5e-10 I; only if that fails does the spectrum decide, by the same rule.
-    A stack is checked once per invariant; its first bad matrix (row-major) fails as alone.
+    A stack is checked once per invariant, Hermiticity and positivity over row-major
+    chunks of at most BLOCK_ENTRIES entries; its first bad matrix (row-major) fails as alone.
     """
     m = np.asarray(m, dtype=complex)
     n = n_qubits_of(m)
-    if not is_hermitian(m):
+    d = m.shape[-1]
+    step = max(1, BLOCK_ENTRIES // (d * d))  # whole matrices per chunk
+    flat = m.reshape(-1, d, d)
+    chunks = [flat[i : i + step] for i in range(0, len(flat), step)] if len(flat) > step else [m]
+    if not all(is_hermitian(c) for c in chunks):
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    shifted = m.copy()
-    shifted.reshape(m.shape[:-2] + (-1,))[..., :: m.shape[-1] + 1] += ATOL / 2
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        min_eigs = np.linalg.eigvalsh(m)[..., 0].reshape(-1)
-        negative = min_eigs[min_eigs < -ATOL]
-        if negative.size:
-            raise ValueError(f"density matrix has negative eigenvalue {negative[0]:.3e}") from None
+    for c in chunks:
+        shifted = c.copy()
+        shifted.reshape(c.shape[:-2] + (-1,))[..., :: d + 1] += ATOL / 2
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eigs = np.linalg.eigvalsh(c)[..., 0].reshape(-1)
+            negative = min_eigs[min_eigs < -ATOL]
+            if negative.size:
+                raise ValueError(f"density matrix has negative eigenvalue {negative[0]:.3e}") from None
     tr = m.trace(axis1=-2, axis2=-1)
     if (abs(tr - 1.0) > ATOL).any():
         tr = tr.reshape(-1)

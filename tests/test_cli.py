@@ -21,7 +21,7 @@ from oltsim import (
     z_string,
 )
 from oltsim.cli import SCENARIO_BEGIN, SCENARIO_END, main
-from oltsim.protocol import reduced_states
+from oltsim.protocol import correlator_table, flip_mixtures, reduced_states
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -450,6 +450,26 @@ class TestSweep:
         direct = ["true" if sep else "false" for sep in ppt_separable(states, {0}).separable.flat]
         assert column == direct
         assert column.count("false") == 64
+
+    @pytest.mark.parametrize("name", ["chsh_max", "werner"])
+    def test_csv_matches_per_point_formatting(self, tmp_path, name):
+        # each angle is formatted once per axis; the rows must equal the per-point expression
+        out_csv = tmp_path / "s.csv"
+        code, _ = run_cli(["sweep", str(SCENARIOS / f"{name}.txt"), "--grid", "18", "--out", str(out_csv)])
+        assert code == 0
+        scenario = parse_scenario((SCENARIOS / f"{name}.txt").read_text())
+        thetas = np.linspace(0.0, math.pi, 18)
+        settings = [AngleSetting.so2(t) for t in thetas]
+        table = correlator_table(scenario.system, scenario.ancilla, [settings, settings])
+        states = flip_mixtures(scenario.system, scenario.ancilla, [settings, settings])
+        separable = ppt_separable(states, {0}).separable
+        rows = [
+            f"{float(a):.15g},{float(b):.15g},{float(table[i, j]):.15g},{'true' if separable[i, j] else 'false'}"
+            for i, a in enumerate(thetas)
+            for j, b in enumerate(thetas)
+        ]
+        expected = "theta_a,theta_b,correlator,separable\n" + "\n".join(rows) + "\n"
+        assert out_csv.read_bytes() == expected.encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write(tmp_path, "chsh.txt", CHSH_MAX)

@@ -14,6 +14,7 @@ from oltsim.gates import (
     Z_TO_Y_SETTING,
     AngleSetting,
     bloch_vector,
+    bloch_vectors,
     cnot,
     embed,
     format_setting,
@@ -251,6 +252,27 @@ class TestBlochVector:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             obs = measured_observable(setting)
             assert np.allclose(observables_from_bloch(v[None])[0], obs, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [SO2, SU2])
+    def test_stack_matches_closed_form(self, mode):
+        rng = np.random.default_rng(29 if mode == SO2 else 31)
+        settings = [s for s in random_settings(rng, 50) if s.mode == mode]
+        vectors = bloch_vectors(settings)
+        assert vectors.shape == (50, 3)
+        for v, setting in zip(vectors, settings):
+            theta, lam = setting.angles[-1], 0.0
+            if mode == SU2:
+                _, theta, lam = setting.angles
+            closed = [-math.sin(theta) * math.cos(lam), math.sin(theta) * math.sin(lam), math.cos(theta)]
+            assert np.allclose(v, closed, rtol=0, atol=1e-15)
+            assert np.array_equal(bloch_vector(setting), v)
+        if mode == SO2:
+            assert (vectors[:, 1] == 0).all()
+
+    def test_stack_mixes_modes_and_may_be_empty(self):
+        settings = list(random_settings(np.random.default_rng(37), 5))
+        assert np.array_equal(bloch_vectors(settings), np.array([bloch_vector(s) for s in settings]))
+        assert bloch_vectors([]).shape == (0, 3)
 
     def test_su2_ignores_phi(self):
         a = AngleSetting.su2(0.3, 1.1, -0.7)

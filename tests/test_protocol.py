@@ -9,6 +9,7 @@ import pytest
 import oltsim
 from oltsim import (
     AngleSetting,
+    DensityMatrix,
     Z_TO_X_SETTING,
     Z_TO_Y_SETTING,
     apply_olts,
@@ -315,6 +316,15 @@ class TestParity:
             expected = np.trace(z_string(n) @ matrices[idx]).real
             assert abs(values[idx] - expected) < 1e-14
             assert abs(single - expected) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_signs_match_z_string(self, n):
+        # parity reads only the diagonal; matrix k of this stack has basis vector k on it
+        d = 2**n
+        diagonals = DensityMatrix(np.broadcast_to(np.eye(d)[:, :, None], (d, d, d)), n)
+        signs = parity(diagonals)
+        assert np.array_equal(signs, np.diag(z_string(n)).real)
+        assert np.array_equal(signs, kron_all([[1.0, -1.0]] * n))
 
     def test_computational_eigenstate(self):
         assert parity(make_basis_state("00")) == pytest.approx(1.0, abs=1e-12)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oltsim.states
 from oltsim import kron_all, partial_trace, validate_density
 from oltsim.gates import pauli
 from oltsim.states import (
@@ -224,6 +225,55 @@ class TestValidateDensity:
         dm = make_werner(0.5)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 2.0
+
+
+class TestChunkedValidation:
+    """A stack larger than BLOCK_ENTRIES is checked in row-major chunks of whole matrices."""
+
+    @pytest.fixture
+    def two_per_chunk(self, monkeypatch):
+        # 4x4 matrices, two per chunk; returns the recorded Cholesky batch sizes
+        monkeypatch.setattr(oltsim.states, "BLOCK_ENTRIES", 32)
+        sizes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: sizes.append(m.shape[0]) or cholesky(m))
+        return sizes
+
+    def test_stack_spans_chunks(self, two_per_chunk):
+        stack = np.array([np.eye(4) / 4] * 6).reshape(3, 2, 4, 4)
+        assert validate_density(stack).matrix.shape == (3, 2, 4, 4)
+        assert two_per_chunk == [2, 2, 2]
+
+    def test_hermiticity_checked_before_positivity(self, two_per_chunk):
+        stack = np.array([np.eye(4) / 4] * 6)
+        stack[0] = np.diag([1.5, -0.5, 0.0, 0.0])  # chunk 1: not positive
+        stack[4, 0, 1] = 0.1  # chunk 3: not Hermitian
+        with pytest.raises(ValueError, match="not Hermitian"):
+            validate_density(stack)
+        assert not two_per_chunk
+
+    @pytest.mark.parametrize("first, second", [(-2e-10, -3e-10), (-3e-10, -2e-10)])
+    def test_first_negative_across_chunk_boundary(self, two_per_chunk, monkeypatch, first, second):
+        calls = spectrum_calls(monkeypatch)
+        stack = np.array([boundary_state(4, 0.1)] * 6)
+        stack[0] = boundary_state(4, -0.7e-10)  # chunk 1 falls through to the spectrum and passes
+        stack[3] = boundary_state(4, first)  # last matrix of chunk 2
+        stack[4] = boundary_state(4, second)  # first matrix of chunk 3
+        with pytest.raises(ValueError, match=f"negative eigenvalue {first:.3e}"):
+            validate_density(stack.reshape(3, 2, 4, 4))
+        assert len(calls) == 2
+
+    def test_peak_memory_bounded_by_one_copy(self):
+        stack = np.tile(np.eye(4, dtype=complex) / 4, (256, 128, 1, 1))
+        assert stack.nbytes >= 8 << 20
+        tracemalloc.start()
+        try:
+            dm = validate_density(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.matrix.shape == stack.shape
+        assert peak < 1.25 * stack.nbytes
 
 
 class TestParseStateSpec:
