@@ -105,11 +105,6 @@ def bloch_vectors(settings) -> np.ndarray:
     return np.array([-s[0] * c[1], s[0] * s[1], c[0]]).T
 
 
-def bloch_vector(setting: AngleSetting) -> np.ndarray:
-    """The Bloch vector of one setting: the one row of `bloch_vectors`."""
-    return bloch_vectors([setting])[0]
-
-
 def setting_from_bloch(mode: str, vector) -> AngleSetting:
     """A setting whose Bloch vector is the given unit vector; su2 settings get phi = 0.
 

@@ -52,7 +52,7 @@ def validate_density(m: np.ndarray) -> DensityMatrix:
     d = m.shape[-1]
     step = max(1, BLOCK_ENTRIES // (d * d))  # whole matrices per chunk
     flat = m.reshape(-1, d, d)
-    chunks = [flat[i : i + step] for i in range(0, len(flat), step)] if len(flat) > step else [m]
+    chunks = [flat[i : i + step] for i in range(0, len(flat), step)]
     if not all(is_hermitian(c) for c in chunks):
         raise ValueError("density matrix is not Hermitian within 1e-10")
     for c in chunks:

@@ -13,7 +13,6 @@ from oltsim.gates import (
     Z_TO_X_SETTING,
     Z_TO_Y_SETTING,
     AngleSetting,
-    bloch_vector,
     bloch_vectors,
     cnot,
     embed,
@@ -248,7 +247,7 @@ POLES_AND_AXES = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -
 class TestBlochVector:
     def test_matches_the_rotated_z(self):
         for setting in random_settings(np.random.default_rng(17), 20):
-            v = bloch_vector(setting)
+            v = bloch_vectors([setting])[0]
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             obs = measured_observable(setting)
             assert np.allclose(observables_from_bloch(v[None])[0], obs, atol=1e-12)
@@ -263,21 +262,21 @@ class TestBlochVector:
             theta, lam = setting.angles[-1], 0.0
             if mode == SU2:
                 _, theta, lam = setting.angles
-            closed = [-math.sin(theta) * math.cos(lam), math.sin(theta) * math.sin(lam), math.cos(theta)]
-            assert np.allclose(v, closed, rtol=0, atol=1e-15)
-            assert np.array_equal(bloch_vector(setting), v)
+            s = math.sin(theta)
+            closed = np.array([-s * math.cos(lam), s * math.sin(lam), math.cos(theta)])
+            assert np.array_equal(v, closed)  # the scalar math form, bit for bit
         if mode == SO2:
             assert (vectors[:, 1] == 0).all()
 
     def test_stack_mixes_modes_and_may_be_empty(self):
         settings = list(random_settings(np.random.default_rng(37), 5))
-        assert np.array_equal(bloch_vectors(settings), np.array([bloch_vector(s) for s in settings]))
+        assert np.array_equal(bloch_vectors(settings), np.array([bloch_vectors([s])[0] for s in settings]))
         assert bloch_vectors([]).shape == (0, 3)
 
     def test_su2_ignores_phi(self):
         a = AngleSetting.su2(0.3, 1.1, -0.7)
         b = AngleSetting.su2(-2.9, 1.1, -0.7)
-        assert np.allclose(bloch_vector(a), bloch_vector(b), atol=1e-15)
+        assert np.allclose(bloch_vectors([a])[0], bloch_vectors([b])[0], atol=1e-15)
 
     @pytest.mark.parametrize("mode", [SO2, SU2])
     def test_vector_round_trip(self, mode):
@@ -291,12 +290,12 @@ class TestBlochVector:
             v = v / np.linalg.norm(v)
             setting = setting_from_bloch(mode, v)
             assert setting.mode == mode
-            assert np.allclose(bloch_vector(setting), v, atol=1e-12)
+            assert np.allclose(bloch_vectors([setting])[0], v, atol=1e-12)
             assert np.allclose(measured_observable(setting), observables_from_bloch(v[None])[0], atol=1e-12)
 
     def test_setting_round_trip(self):
         for setting in random_settings(np.random.default_rng(23), 20):
-            back = setting_from_bloch(setting.mode, bloch_vector(setting))
+            back = setting_from_bloch(setting.mode, bloch_vectors([setting])[0])
             assert np.allclose(measured_observable(back), measured_observable(setting), atol=1e-12)
             if setting.mode == SU2:
                 assert back.angles[0] == 0.0

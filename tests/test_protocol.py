@@ -29,7 +29,7 @@ from oltsim import (
     z_string,
 )
 from oltsim.analysis import random_density, random_diagonal_state, random_setting
-from oltsim.gates import bloch_vector, embed, olt_unitary, pauli, rotation
+from oltsim.gates import bloch_vectors, embed, olt_unitary, pauli, rotation
 from oltsim.linalg import kron_all
 from oltsim.protocol import (
     correlation_tensor,
@@ -410,7 +410,7 @@ class TestCorrelatorTable:
         s0 = stabilizer_eigenvalue(system).expectation
         expected = correlation_tensor(ancilla)
         for party in settings:
-            expected = np.tensordot(expected, np.array([bloch_vector(s) for s in party]), axes=([0], [1]))
+            expected = np.tensordot(expected, bloch_vectors(party), axes=([0], [1]))
         direct = parity(reduced_states(system, ancilla, settings))
         assert direct.shape == expected.shape == (2, 2, 2)
         assert np.max(np.abs(direct - s0 * expected)) < 1e-10
