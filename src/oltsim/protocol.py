@@ -3,10 +3,11 @@
 Each of the N parties holds one system qubit and one ancilla qubit and applies
 a two-qubit unitary parameterized only by its own angle setting. Correlators
 of the fixed z-basis measurement on the reduced system state are computed two
-ways. The direct route (`reduced_states`) assembles the 2N-qubit register once,
-applies each party's channel U x U* to its own (row, column) index pair, for
-all setting combinations in bounded blocks, validates every state as one stack
-per block, and reads the correlators as the `parity` of the reduced states. The
+ways. The direct route (`reduced_states`) assembles the 2N-qubit register once
+and contracts each party's (row, column) index pair with that party's gate
+followed by the trace of its own ancilla qubit, for all its settings at once:
+the gates are operationally local, so no rotated register is built. The stack
+of reduced states is validated once and the correlators are its `parity`. The
 factorized route multiplies the system's `parity` by `table_from_observables`,
 the one contraction of the ancilla, on the Bloch-vector observables v . sigma of
 the settings. The two must agree for every input, which the analysis module
@@ -33,7 +34,7 @@ from .gates import (
     olt_unitary,
 )
 from .linalg import ATOL, partial_trace
-from .states import BLOCK_ENTRIES, DensityMatrix, check_qubits, validate_density
+from .states import DensityMatrix, check_qubits, validate_density
 
 
 def _parity_signs(n: int) -> np.ndarray:
@@ -90,31 +91,27 @@ def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> l
     return [observables_from_bloch(bloch_vectors(lst)) for lst in per_party]
 
 
-def _channels(settings: Sequence[AngleSetting]) -> np.ndarray:
-    """U x U* per setting on one party's 16-dim (row, column) pair, its output split into 4 qubit axes."""
-    u = np.array([olt_unitary(s) for s in settings])
-    return np.einsum("mab,mcd->macbd", u, u.conj()).reshape(-1, 2, 2, 2, 2, 16)
-
-
 def _pair_major(register: DensityMatrix, n: int) -> np.ndarray:
     """The register as a (16,) * N tensor: axis i is party i's (row, column) pair of qubits i, N+i."""
     order = [q for i in range(n) for q in (i, n + i, 2 * n + i, 3 * n + i)]
     return register.matrix.reshape((2,) * (4 * n)).transpose(order).reshape((16,) * n)
 
 
-def _rotate(pairs: np.ndarray, channels: Sequence[np.ndarray]) -> np.ndarray:
-    """Registers rotated by every combination of the channels, one tensordot per party: (B, D, D)."""
-    for c in channels:
-        pairs = np.tensordot(pairs, c, axes=([0], [5]))
-    n = len(channels)
-    return pairs.transpose([5 * i + k for k in range(5) for i in range(n)]).reshape(-1, 4**n, 4**n)
-
-
 def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
-    """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag."""
+    """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag.
+
+    Per party, one `tensordot` of its channel U x U* on its (row, column) pair.
+    """
     n = _register_parties(register)
     _check_settings(settings, n)
-    return validate_density(_rotate(_pair_major(register, n), [_channels([s]) for s in settings])[0])
+    rho = _pair_major(register, n)
+    for s in settings:
+        u = olt_unitary(s)
+        channel = np.einsum("ab,cd->acbd", u, u.conj()).reshape(2, 2, 2, 2, 16)
+        rho = np.tensordot(rho, channel, axes=([0], [4]))
+    # rebinding to the reshaped copy frees the last contraction before validation allocates
+    rho = rho.transpose([4 * i + k for k in range(4) for i in range(n)]).reshape(4**n, 4**n)
+    return validate_density(rho)
 
 
 def reduced_system(register: DensityMatrix) -> DensityMatrix:
@@ -128,21 +125,23 @@ def reduced_states(
 ) -> DensityMatrix:
     """Every combination's reduced state off one register, as a row-major (M_1, ..., M_N, d, d) stack.
 
-    Blocks stack the trailing parties while their rotated registers fit BLOCK_ENTRIES (else one
-    combination each); per block, rotated registers and reduced states are validated as one stack each.
+    No rotated register is built: each party's gate followed by the trace of its ancilla is one
+    channel K[m, s, s', (b, d)] = sum_t U_m[(s,t), b] U_m*[(s',t), d] on its (row, column) pair,
+    contracted first for the parties with at most 4 settings (a step that does not grow the
+    tensor). The stack of reduced states is validated once.
     """
     n = system.n_qubits
     pairs = _pair_major(assemble(system, ancilla), n)
     shape = _setting_shape(per_party_settings, n)
-    channels = [_channels(lst) for lst in per_party_settings]
-    split = next((k for k in range(n) if np.prod(shape[k:]) * 16**n <= BLOCK_ENTRIES), n)
-    blocks = []
-    for lead in np.ndindex(*shape[:split]):
-        block = [c[i : i + 1] for c, i in zip(channels, lead)] + channels[split:]
-        blocks.append(reduced_system(validate_density(_rotate(pairs, block))).matrix)
-    out = np.concatenate(blocks).reshape(shape + (2**n, 2**n))
-    out.setflags(write=False)
-    return DensityMatrix(out, n)
+    order = sorted(range(n), key=lambda k: shape[k] > 4)
+    for j, k in enumerate(order):
+        u = np.array([olt_unitary(s) for s in per_party_settings[k]]).reshape(-1, 2, 2, 4)
+        traced = np.einsum("mstb,mutd->msubd", u, u.conj()).reshape(-1, 2, 2, 16)
+        # the uncontracted parties' pair axes lead, in party order; contracted axes trail
+        pairs = np.tensordot(pairs, traced, axes=([sum(i < k for i in order[j:])], [3]))
+    pairs = pairs.transpose([3 * order.index(k) + c for c in range(3) for k in range(n)])
+    pairs = pairs.reshape(shape + (2**n, 2**n))
+    return validate_density(pairs)
 
 
 def flip_distribution(
@@ -215,11 +214,12 @@ def stabilizer_eigenvalue(system: DensityMatrix) -> StabilizerResult:
 
     The raw parity expectation is always reported; when the state is not an
     eigenstate it is the scaling constant the factorized route applies to
-    every correlator.
+    every correlator. The state commutes with Z^N when (Z rho - rho Z)[i, j] = (s_i - s_j) rho[i, j]
+    stays within 1e-10, s the signs of Z^N: 2 |rho[i, j]| wherever s_i and s_j differ.
     """
-    z = z_string(system.n_qubits)
+    signs = _parity_signs(system.n_qubits)
     value = parity(system)
-    commutes = np.max(np.abs(z @ system.matrix - system.matrix @ z)) <= ATOL
+    commutes = 2 * np.max(np.abs(system.matrix[signs[:, None] != signs])) <= ATOL
     if commutes and abs(abs(value) - 1.0) <= ATOL:
         return StabilizerResult(1 if value > 0 else -1, value)
     return StabilizerResult(None, value)

@@ -9,7 +9,7 @@ import numpy as np
 from .linalg import ATOL, is_hermitian, n_qubits_of
 
 MAX_QUBITS = 12  # largest state the constructors build: 2^12 x 2^12 complex is 268 MB
-BLOCK_ENTRIES = 2**15  # complex entries validated, or rotated registers stacked, in one block: 512 KiB
+BLOCK_ENTRIES = 2**15  # complex entries validated in one chunk: 512 KiB
 
 
 def check_qubits(n: int):

@@ -93,7 +93,7 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def block_scenario(shape, system, ancilla, seed):
+def custom_scenario(shape, system, ancilla, seed):
     """A custom-functional `run` scenario with random so2 and su2 settings of the given shape."""
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(-3, 4, size=math.prod(shape))
@@ -107,7 +107,7 @@ def block_scenario(shape, system, ancilla, seed):
     settings = " | ".join(", ".join(setting() for _ in range(m)) for m in shape)
     functional = "custom:" + "x".join(map(str, shape)) + ":" + ",".join(map(str, coeffs))
     return (
-        f"label = blocks\nsystem = {system}\nancilla = {ancilla}\nfunctional = {functional}\n"
+        f"label = custom\nsystem = {system}\nancilla = {ancilla}\nfunctional = {functional}\n"
         f"mode = su2\nsettings = {settings}\n"
     )
 
@@ -242,7 +242,7 @@ class TestRun:
 
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
-        # only the protocol's own validations: the assembled, rotated and reduced states
+        # only the protocol's own validations: the assembled register and the reduced states
         validated = []
         validate = oltsim.protocol.validate_density
         monkeypatch.setattr(
@@ -258,25 +258,21 @@ class TestRun:
         assert len(tested) == 1  # one PPT test of the whole stack of reduced states
         assert validated.count((64, 64)) == 1  # the assembled register, unstacked
         # matrices validated per dimension, counted across the stacks: the assembled
-        # register and 8 rotated registers (64), 8 reduced states (8)
+        # register (64) and 8 reduced states (8); no rotated register exists
         counted = {}
         for shape in validated:
             counted[shape[-1]] = counted.get(shape[-1], 0) + math.prod(shape[:-2])
-        assert counted == {64: 1 + 8, 8: 8}
+        assert counted == {64: 1, 8: 8}
 
     @pytest.mark.parametrize(
-        "shape, system, ancilla, blocks",
+        "shape, system, ancilla",
         [
-            # 8 rotated 3-party registers fit one block: 10 blocks, one per (party 1, party 2)
-            ((2, 5, 8), "classical_correlated:3", "ghz:3,0.6+0.8i", [(8, 64, 64)] * 10),
-            # one 4-party register already exceeds the block budget: one combination per block
-            ((2, 2, 2, 2), "basis:0110", "ghz:4,i", [(1, 256, 256)] * 16),
+            ((2, 5, 8), "classical_correlated:3", "ghz:3,0.6+0.8i"),
+            ((2, 2, 2, 2), "basis:0110", "ghz:4,i"),
         ],
     )
-    def test_blocks_match_per_combination_reference(
-        self, tmp_path, monkeypatch, shape, system, ancilla, blocks
-    ):
-        text = block_scenario(shape, system, ancilla, seed=sum(shape))
+    def test_stack_matches_per_combination_reference(self, tmp_path, monkeypatch, shape, system, ancilla):
+        text = custom_scenario(shape, system, ancilla, seed=sum(shape))
         scenario = parse_scenario(text)
         n = len(shape)
         validated, stacks = [], []
@@ -288,9 +284,10 @@ class TestRun:
         monkeypatch.setattr(
             oltsim.cli, "reduced_states", lambda *a: stacks.append(simulate(*a)) or stacks[-1]
         )
-        code, out = run_cli(["run", write(tmp_path, "blocks.txt", text)])
+        code, out = run_cli(["run", write(tmp_path, "custom.txt", text)])
         assert code == 0
-        assert [s for s in validated if len(s) == 3 and s[-1] == 4**n] == blocks
+        # no 4^N-dim matrix is validated but the assembled register: no rotated register exists
+        assert [s for s in validated if s[-1] == 4**n] == [(4**n, 4**n)]
         (states,) = stacks
         assert states.matrix.shape == shape + (2**n, 2**n)
         assert not states.matrix.flags.writeable
@@ -305,11 +302,11 @@ class TestRun:
             assert abs(value - np.trace(z_string(n) @ expected).real) < 1e-12
 
     def test_non_unitary_gate_fails_at_first_bad_combination(self, tmp_path, monkeypatch, capsys):
-        # party 1's second gate scaled by sqrt(2) and party 2's fourth by sqrt(3): rotated
-        # registers of trace 2, 3 or 6. The first bad combination row-major is (1,4,1), in the
-        # fourth of 10 blocks, with trace 3; the blocks of (2,*,*) would report 2 or 6. Nothing
-        # is written before every combination has been validated.
-        text = block_scenario((2, 5, 8), "classical_correlated:3", "ghz:3,i", seed=5)
+        # party 1's second gate scaled by sqrt(2) and party 2's fourth by sqrt(3): reduced
+        # states of trace 2, 3 or 6. The first bad combination row-major is (1,4,1), with
+        # trace 3; the combinations (2,*,*) would report 2 or 6. Nothing is written before
+        # every combination has been validated.
+        text = custom_scenario((2, 5, 8), "classical_correlated:3", "ghz:3,i", seed=5)
         settings = parse_scenario(text).settings
         scale = {settings[0][1]: math.sqrt(2), settings[1][3]: math.sqrt(3)}
         unitary = oltsim.protocol.olt_unitary

@@ -2,6 +2,7 @@
 correlator routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,36 @@ class TestReducedSystem:
         assert np.allclose(red.matrix, expected, atol=1e-10)
         corr = np.trace(red.matrix @ z_string(2)).real
         assert corr == pytest.approx(-p * math.cos(delta), abs=1e-10)
+
+
+class TestReducedStates:
+    @pytest.mark.parametrize("shape", [(8, 1, 3, 1), (8, 8, 1, 1, 1)])
+    def test_uneven_shapes_match_per_combination(self, shape):
+        # parties with more than 4 settings are contracted last, out of their natural order
+        rng = np.random.default_rng(sum(shape))
+        n = len(shape)
+        system, ancilla = random_density(rng, n), random_density(rng, n)
+        lists = [[random_setting(rng) for _ in range(m)] for m in shape]
+        states = reduced_states(system, ancilla, lists)
+        assert states.matrix.shape == shape + (2**n, 2**n)
+        register = assemble(system, ancilla)
+        for idx in np.ndindex(shape):
+            chosen = [lst[i] for lst, i in zip(lists, idx)]
+            expected = reduced_system(apply_olts(register, chosen)).matrix
+            assert np.max(np.abs(states.matrix[idx] - expected)) < 1e-12
+
+    def test_five_party_peak_stays_below_four_registers(self):
+        # the 10-qubit register is 16 MiB; no intermediate outgrows it or the output stack
+        rng = np.random.default_rng(41)
+        system, ancilla = random_density(rng, 5), random_density(rng, 5)
+        lists = [[random_setting(rng) for _ in range(m)] for m in (8, 8, 1, 1, 1)]
+        tracemalloc.start()
+        try:
+            reduced_states(system, ancilla, lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * 4**10
 
 
 class TestFlipMixtures:
@@ -357,6 +388,15 @@ class TestStabilizerEigenvalue:
         result = stabilizer_eigenvalue(mixed)
         assert result.eigenvalue is None
         assert result.expectation == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("coupling, eigenvalue", [(0.4e-10, 1), (0.6e-10, None)])
+    def test_commutation_boundary(self, coupling, eigenvalue):
+        # |Z rho - rho Z| at entry (00, 01) is 2 * coupling: 0.8e-10 commutes, 1.2e-10 does not
+        m = RHO_CC.astype(complex)
+        m[0, 1] = m[1, 0] = coupling
+        result = stabilizer_eigenvalue(validate_density(m))
+        assert result.eigenvalue == eigenvalue
+        assert result.expectation == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCorrelatorTable:
