@@ -5,9 +5,9 @@ reported as PPT/NPT only beyond that. The optimizer is a seeded multi-restart
 see-saw on the ancilla's Pauli correlation tensor: the functional is linear in
 each party's Bloch vectors, so every party's best response has a closed form.
 It is deterministic for a fixed seed. The factorization campaign confronts
-the direct route's correlators and reduced states with the factorized ones on
-randomized inputs; their agreement is an algebraic identity, so the campaign
-must pass for every seed.
+`run`'s direct route, `reduced_states` and its `parity`, with `flip_mixtures`
+and `correlator_table` on randomized inputs; their agreement is an algebraic
+identity, so the campaign must pass for every seed.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from .functionals import BellFunctional, evaluate
 from .gates import SO2, SU2, AngleSetting, setting_from_bloch
 from .linalg import _LETTERS, ATOL, dag
 from .protocol import (
+    _check_parties,
     apply_olts,
     assemble,
-    correlation_factorized,
     correlation_tensor,
     correlator_table,
     flip_mixtures,
     parity,
-    reduced_system,
+    reduced_states,
     table_from_observables,  # noqa: F401  (the tracer tests patch and restore it here)
 )
 from .states import (
@@ -149,10 +149,7 @@ def optimize_angles(
         raise ValueError(f"mode must be '{SO2}' or '{SU2}', got {mode!r}")
     rng = _rng(seed)
     n = system.n_qubits
-    if ancilla.n_qubits != n:
-        raise ValueError(
-            f"party count mismatch: system has {n} qubits, ancilla has {ancilla.n_qubits}"
-        )
+    _check_parties(system, ancilla)
     ms = functional.settings_per_party
     if len(ms) != n:
         raise ValueError(f"functional has {len(ms)} parties but the states have {n}")
@@ -244,12 +241,12 @@ def random_setting(rng: np.random.Generator) -> AngleSetting:
 
 
 def verify_factorization(trials: int, parties: int, seed: int = 0) -> FactorizationReport:
-    """Randomized comparison of the direct route with the factorized ones.
+    """Randomized comparison of `run`'s direct route with the factorized ones.
 
     Half the trials draw parity-commuting diagonal-mixture system states, half
-    draw fully random ones (exercising the no-eigenvalue branch). On every
-    trial the direct reduced state must match `flip_mixtures` and its parity
-    must match `correlation_factorized`, both to 1e-10.
+    draw fully random ones (exercising the no-eigenvalue branch). On every trial,
+    with one setting per party, the stack of `reduced_states` must match
+    `flip_mixtures` and its `parity` must match `correlator_table`, both to 1e-10.
     """
     if parties not in range(2, 6):
         raise ValueError(f"parties must be between 2 and 5, got {parties}")
@@ -258,16 +255,14 @@ def verify_factorization(trials: int, parties: int, seed: int = 0) -> Factorizat
     rng = _rng(seed)
     worst = worst_state = 0.0
     for t in range(trials):
-        if t % 2 == 0:
-            system = random_diagonal_state(rng, parties)
-        else:
-            system = random_density(rng, parties)
+        system = (random_diagonal_state if t % 2 == 0 else random_density)(rng, parties)
         ancilla = random_density(rng, parties)
-        settings = [random_setting(rng) for _ in range(parties)]
-        red = reduced_system(apply_olts(assemble(system, ancilla), settings))
-        mixture = flip_mixtures(system, ancilla, [[s] for s in settings]).matrix[(0,) * parties]
-        worst_state = max(worst_state, float(np.max(np.abs(red.matrix - mixture))))
-        worst = max(worst, abs(parity(red) - correlation_factorized(system, ancilla, settings)))
+        per_party = [[random_setting(rng)] for _ in range(parties)]
+        direct = reduced_states(system, ancilla, per_party)
+        mixture = flip_mixtures(system, ancilla, per_party)
+        worst_state = max(worst_state, float(np.max(np.abs(direct.matrix - mixture.matrix))))
+        factorized = correlator_table(system, ancilla, per_party)
+        worst = max(worst, float(np.max(np.abs(parity(direct) - factorized))))
     return FactorizationReport(parties, trials, worst, worst_state, max(worst, worst_state) < 1e-10)
 
 
@@ -294,13 +289,10 @@ def closed_form_final_ket(theta_a: float, theta_b: float) -> np.ndarray:
 
 def check_final_state_form(theta_a: float, theta_b: float) -> float:
     """Fidelity of the simulated 4-qubit state against the closed-form ket."""
-    system = make_basis_state("00")
-    ancilla = make_bell_state("phi+")
     settings = [AngleSetting.so2(theta_a), AngleSetting.so2(theta_b)]
-    register = apply_olts(assemble(system, ancilla), settings)
+    register = apply_olts(assemble(make_basis_state("00"), make_bell_state("phi+")), settings)
     ket = closed_form_final_ket(theta_a, theta_b)
-    fid = complex(ket.conj() @ register.matrix @ ket)
-    return float(fid.real)
+    return float((ket.conj() @ register.matrix @ ket).real)
 
 
 @dataclass(frozen=True)

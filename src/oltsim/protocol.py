@@ -7,7 +7,8 @@ ways. The direct route (`reduced_states`) assembles the 2N-qubit register once
 and contracts each party's (row, column) index pair with that party's gate
 followed by the trace of its own ancilla qubit, for all its settings at once:
 the gates are operationally local, so no rotated register is built. The stack
-of reduced states is validated once and the correlators are its `parity`. The
+of reduced states is validated once and the correlators are its `parity`; the
+register and `apply_olts`' image of it are states by construction. The
 factorized route multiplies the system's `parity` by `table_from_observables`,
 the one contraction of the ancilla, on the Bloch-vector observables v . sigma of
 the settings. The two must agree for every input, which the analysis module
@@ -33,8 +34,8 @@ from .gates import (
     observables_from_bloch,
     olt_unitary,
 )
-from .linalg import ATOL, partial_trace
-from .states import DensityMatrix, check_qubits, validate_density
+from .linalg import ATOL, dag, partial_trace
+from .states import DensityMatrix, _frozen, check_qubits, validate_density
 
 
 def _parity_signs(n: int) -> np.ndarray:
@@ -66,10 +67,10 @@ def _register_parties(register: DensityMatrix) -> int:
 
 
 def assemble(system: DensityMatrix, ancilla: DensityMatrix) -> DensityMatrix:
-    """Validated 2N-qubit register: the product of system and ancilla in the fixed layout."""
+    """2N-qubit register system (x) ancilla: a state by construction, so not validated again."""
     _check_parties(system, ancilla)
     check_qubits(2 * system.n_qubits)
-    return validate_density(np.kron(system.matrix, ancilla.matrix))
+    return _frozen(np.kron(system.matrix, ancilla.matrix), 2 * system.n_qubits)
 
 
 def _check_settings(settings: Sequence[AngleSetting], n: int):
@@ -100,18 +101,21 @@ def _pair_major(register: DensityMatrix, n: int) -> np.ndarray:
 def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
     """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag.
 
-    Per party, one `tensordot` of its channel U x U* on its (row, column) pair.
+    Per party, one `tensordot` of its channel U x U* on its (row, column) pair. Each gate is
+    checked unitary within 1e-10; the image is then a state by construction, not revalidated.
     """
     n = _register_parties(register)
     _check_settings(settings, n)
     rho = _pair_major(register, n)
     for s in settings:
         u = olt_unitary(s)
+        defect = float(np.max(np.abs(u @ dag(u) - np.eye(4))))
+        if not defect <= ATOL:  # NaN fails it too
+            raise ValueError(f"gate is not unitary: |U U^dag - I| = {defect:.3e}")
         channel = np.einsum("ab,cd->acbd", u, u.conj()).reshape(2, 2, 2, 2, 16)
         rho = np.tensordot(rho, channel, axes=([0], [4]))
-    # rebinding to the reshaped copy frees the last contraction before validation allocates
     rho = rho.transpose([4 * i + k for k in range(4) for i in range(n)]).reshape(4**n, 4**n)
-    return validate_density(rho)
+    return _frozen(rho, register.n_qubits)
 
 
 def reduced_system(register: DensityMatrix) -> DensityMatrix:

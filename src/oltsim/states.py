@@ -23,7 +23,7 @@ class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     One (d, d) matrix or an (..., d, d) stack of them, immutable (the buffer is
-    read-only); construct them through validate_density or a named factory below.
+    read-only); built by validate_density, a named factory below, or, unchecked, _frozen.
     """
 
     matrix: np.ndarray
@@ -70,9 +70,13 @@ def validate_density(m: np.ndarray) -> DensityMatrix:
         tr = tr.reshape(-1)
         tr = tr[abs(tr - 1.0) > ATOL][0]
         raise ValueError(f"density matrix trace is {tr.real:.12g}, expected 1")
-    out = m.copy()
-    out.setflags(write=False)
-    return DensityMatrix(matrix=out, n_qubits=n)
+    return _frozen(m.copy(), n)
+
+
+def _frozen(m: np.ndarray, n: int) -> DensityMatrix:
+    """Wrap a fresh array that is a state (or stack) by construction: read-only, not copied."""
+    m.setflags(write=False)
+    return DensityMatrix(matrix=m, n_qubits=n)
 
 
 def projector(ket: np.ndarray) -> np.ndarray:

@@ -277,6 +277,25 @@ class TestVerifyFactorization:
         assert report.max_state_deviation > 1e-3
         assert report.max_deviation < 1e-10
 
+    def test_checks_the_direct_route_of_run(self, monkeypatch):
+        # reduced_states is run's direct route; no 4^N x 4^N register is rotated or validated
+        calls = {"reduced_states": [], "apply_olts": []}
+        for name, seen in calls.items():
+            original = getattr(oltsim.protocol, name)
+            counted = lambda *a, _f=original, _seen=seen: _seen.append(1) or _f(*a)
+            monkeypatch.setattr(oltsim.protocol, name, counted)
+            monkeypatch.setattr(oltsim.analysis, name, counted)
+        dims = []
+        validate = oltsim.states.validate_density
+        for module in (oltsim.states, oltsim.protocol, oltsim.analysis):
+            monkeypatch.setattr(
+                module, "validate_density", lambda m: dims.append(np.shape(m)[-1]) or validate(m)
+            )
+        assert verify_factorization(3, 4).passed
+        assert len(calls["reduced_states"]) == 3
+        assert calls["apply_olts"] == []
+        assert 16 in dims and 256 not in dims
+
     def test_parties_validated(self):
         for parties in (1, 6):
             with pytest.raises(ValueError, match="between 2 and 5"):

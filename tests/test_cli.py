@@ -242,7 +242,7 @@ class TestRun:
 
     def test_simulates_each_combination_once(self, monkeypatch):
         assembled = count_calls(monkeypatch, "assemble")
-        # only the protocol's own validations: the assembled register and the reduced states
+        # only the protocol's own validations: the stack of reduced states
         validated = []
         validate = oltsim.protocol.validate_density
         monkeypatch.setattr(
@@ -256,13 +256,13 @@ class TestRun:
         assert out.count("  setting (") == 8
         assert len(assembled) == 1
         assert len(tested) == 1  # one PPT test of the whole stack of reduced states
-        assert validated.count((64, 64)) == 1  # the assembled register, unstacked
-        # matrices validated per dimension, counted across the stacks: the assembled
-        # register (64) and 8 reduced states (8); no rotated register exists
+        assert (64, 64) not in validated  # the assembled register is a state by construction
+        # matrices validated per dimension, counted across the stacks: 8 reduced states (8);
+        # no rotated register exists
         counted = {}
         for shape in validated:
             counted[shape[-1]] = counted.get(shape[-1], 0) + math.prod(shape[:-2])
-        assert counted == {64: 1, 8: 8}
+        assert counted == {8: 8}
 
     @pytest.mark.parametrize(
         "shape, system, ancilla",
@@ -286,8 +286,9 @@ class TestRun:
         )
         code, out = run_cli(["run", write(tmp_path, "custom.txt", text)])
         assert code == 0
-        # no 4^N-dim matrix is validated but the assembled register: no rotated register exists
-        assert [s for s in validated if s[-1] == 4**n] == [(4**n, 4**n)]
+        # no 4^N-dim matrix is validated: the assembled register is a state by construction,
+        # and no rotated register exists
+        assert [s for s in validated if s[-1] == 4**n] == []
         (states,) = stacks
         assert states.matrix.shape == shape + (2**n, 2**n)
         assert not states.matrix.flags.writeable
@@ -495,6 +496,18 @@ class TestVerify:
     def test_three_parties(self):
         code, out = run_cli(["verify", "--parties", "3", "--trials", "30"])
         assert code == 0
+
+    def test_direct_route_mutation_fails(self, monkeypatch):
+        # run's direct route with each party given another party's settings: verify must catch it
+        original = oltsim.analysis.reduced_states
+        monkeypatch.setattr(
+            oltsim.analysis,
+            "reduced_states",
+            lambda system, ancilla, per_party: original(system, ancilla, per_party[::-1]),
+        )
+        code, out = run_cli(["verify", "--parties", "3", "--trials", "4"])
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
 
     def test_negative_seed_exit(self, capsys):
         code, out = run_cli(["verify", "--parties", "2", "--trials", "1", "--seed", "-1"])

@@ -69,6 +69,19 @@ class TestAssemble:
         with pytest.raises(ValueError, match="mismatch"):
             assemble(make_basis_state("00"), make_ghz(3, 1j))
 
+    def test_frozen_product_without_validation(self, monkeypatch):
+        # the product of two validated states is a state by construction
+        rng = np.random.default_rng(5)
+        system, ancilla = random_density(rng, 3), random_density(rng, 3)
+        validated = []
+        for module in (oltsim.states, oltsim.protocol):
+            monkeypatch.setattr(module, "validate_density", validated.append)
+        state = assemble(system, ancilla)
+        assert validated == []
+        assert state.n_qubits == 6
+        assert np.array_equal(state.matrix, np.kron(system.matrix, ancilla.matrix))
+        assert not state.matrix.flags.writeable
+
 
 class TestApplyOlts:
     def test_zero_angles_give_correlated_pure_state(self):
@@ -113,6 +126,31 @@ class TestApplyOlts:
         state = assemble(make_basis_state("00"), make_bell_state("phi+"))
         with pytest.raises(ValueError, match="settings"):
             apply_olts(state, so2(0.0))
+
+    def test_non_unitary_gate_rejected(self, monkeypatch):
+        settings = so2(0.3, -1.1)
+        unitary = oltsim.protocol.olt_unitary
+        monkeypatch.setattr(
+            oltsim.protocol,
+            "olt_unitary",
+            lambda s: (math.sqrt(2) if s is settings[1] else 1.0) * unitary(s),
+        )
+        state = assemble(make_basis_state("00"), make_bell_state("phi+"))
+        with pytest.raises(ValueError, match=r"^gate is not unitary: \|U U\^dag - I\| = 1\.000e\+00$"):
+            apply_olts(state, settings)
+
+    def test_frozen_register_without_validation(self, monkeypatch):
+        # a unitary image of a state is a state by construction: only the gates are checked
+        rng = np.random.default_rng(8)
+        state = assemble(random_density(rng, 3), random_density(rng, 3))
+        validated = []
+        for module in (oltsim.states, oltsim.protocol):
+            monkeypatch.setattr(module, "validate_density", validated.append)
+        rotated = apply_olts(state, [random_setting(rng) for _ in range(3)])
+        assert validated == []
+        assert rotated.n_qubits == 6
+        assert not rotated.matrix.flags.writeable
+        assert np.trace(rotated.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_per_party_conjugations(self, n):
