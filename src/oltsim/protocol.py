@@ -1,24 +1,15 @@
 """N-party protocol execution.
 
-Each of the N parties holds one system qubit and one ancilla qubit and applies
-a two-qubit unitary parameterized only by its own angle setting. Correlators
-of the fixed z-basis measurement on the reduced system state are computed two
-ways. The direct route (`reduced_states`) assembles the 2N-qubit register once
-and contracts each party's (row, column) index pair with that party's gate
-followed by the trace of its own ancilla qubit, for all its settings at once:
-the gates are operationally local, so no rotated register is built. The stack
-of reduced states is validated once and the correlators are its `parity`; the
-register and `apply_olts`' image of it are states by construction. The
-factorized route multiplies the system's `parity` by `table_from_observables`,
-the one contraction of the ancilla, on the Bloch-vector observables v . sigma of
-the settings. The two must agree for every input, which the analysis module
-verifies by randomized campaign. The reduced state itself is the bit-flip
-mixture sum_a p(a) X^a rho_sys X^a, with p the same contraction on the outcome
-projectors (I +- v . sigma)/2; `flip_mixtures` builds it without the 2N-qubit
-register, as one validated (M_1, ..., M_N, d, d) stack.
-
-Register layout: system qubits at indices 0..N-1, ancilla qubits at N..2N-1,
-party i owning qubits i and N+i.
+Each party i holds one system qubit and one ancilla qubit, qubits i and N+i of
+the 2N-qubit register, and applies a two-qubit unitary parameterized only by its
+own angle setting. Correlators of the fixed z-basis measurement on the reduced
+system state are computed two ways. The direct route (`reduced_states`) applies
+each party's gate and ancilla trace to the system and ancilla factors in turn,
+never writing out the register system (x) ancilla; the correlators are the
+`parity` of its stack of reduced states. The factorized route multiplies the
+system's `parity` by `table_from_observables`, the one contraction of the
+ancilla. The analysis module checks by randomized campaign that the two agree,
+and that each reduced state is the bit-flip mixture of `flip_mixtures`.
 """
 
 from __future__ import annotations
@@ -92,30 +83,32 @@ def _observable_stacks(per_party: Sequence[Sequence[AngleSetting]], n: int) -> l
     return [observables_from_bloch(bloch_vectors(lst)) for lst in per_party]
 
 
-def _pair_major(register: DensityMatrix, n: int) -> np.ndarray:
-    """The register as a (16,) * N tensor: axis i is party i's (row, column) pair of qubits i, N+i."""
-    order = [q for i in range(n) for q in (i, n + i, 2 * n + i, 3 * n + i)]
-    return register.matrix.reshape((2,) * (4 * n)).transpose(order).reshape((16,) * n)
+def _party_pairs(matrix: np.ndarray, n: int) -> np.ndarray:
+    """A 2^n x 2^n matrix as a (4,) * n tensor: axis q is qubit q's (row, column) pair of bits."""
+    order = [a for q in range(n) for a in (q, n + q)]
+    return matrix.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
 
 
 def apply_olts(register: DensityMatrix, settings: Sequence[AngleSetting]) -> DensityMatrix:
     """Apply each party's gate to its own two qubits i and N+i: rho -> U rho U^dag.
 
-    Per party, one `tensordot` of its channel U x U* on its (row, column) pair. Each gate is
-    checked unitary within 1e-10; the image is then a state by construction, not revalidated.
+    Per party, one `tensordot` of its channel U x U* on its two qubits' (row, column) pairs. Each
+    gate is checked unitary within 1e-10; the image is a state by construction, not revalidated.
     """
     n = _register_parties(register)
     _check_settings(settings, n)
-    rho = _pair_major(register, n)
-    for s in settings:
+    rho = _party_pairs(register.matrix, 2 * n)
+    for i, s in enumerate(settings):
         u = olt_unitary(s)
         defect = float(np.max(np.abs(u @ dag(u) - np.eye(4))))
         if not defect <= ATOL:  # NaN fails it too
             raise ValueError(f"gate is not unitary: |U U^dag - I| = {defect:.3e}")
-        channel = np.einsum("ab,cd->acbd", u, u.conj()).reshape(2, 2, 2, 2, 16)
-        rho = np.tensordot(rho, channel, axes=([0], [4]))
-    rho = rho.transpose([4 * i + k for k in range(4) for i in range(n)]).reshape(4**n, 4**n)
-    return _frozen(rho, register.n_qubits)
+        u = u.reshape(2, 2, 2, 2)
+        channel = np.einsum("stbc,uvde->sutvbdce", u, u.conj()).reshape(4, 4, 4, 4)
+        # the unrotated parties' qubits lead, system before ancilla; rotated pairs trail
+        rho = np.tensordot(rho, channel, axes=([0, n - i], [2, 3]))
+    rho = rho.reshape((2,) * (4 * n)).transpose([4 * i + k for k in (0, 2, 1, 3) for i in range(n)])
+    return _frozen(rho.reshape(4**n, 4**n), register.n_qubits)
 
 
 def reduced_system(register: DensityMatrix) -> DensityMatrix:
@@ -127,25 +120,30 @@ def reduced_system(register: DensityMatrix) -> DensityMatrix:
 def reduced_states(
     system: DensityMatrix, ancilla: DensityMatrix, per_party_settings: Sequence[Sequence[AngleSetting]]
 ) -> DensityMatrix:
-    """Every combination's reduced state off one register, as a row-major (M_1, ..., M_N, d, d) stack.
+    """Every combination's reduced state, as a row-major (M_1, ..., M_N, d, d) stack.
 
-    No rotated register is built: each party's gate followed by the trace of its ancilla is one
-    channel K[m, s, s', (b, d)] = sum_t U_m[(s,t), b] U_m*[(s',t), d] on its (row, column) pair,
-    contracted first for the parties with at most 4 settings (a step that does not grow the
-    tensor). The stack of reduced states is validated once.
+    Party k's gate and ancilla trace are one channel K[m, s, s', (b, b'), (c, c')] = sum_t
+    U_m[(s,t), (b,c)] U_m*[(s',t), (b',c')] on its system pair (b, b') and ancilla pair (c, c').
+    The first party's K meets the ancilla, then the system, so no register is built. Parties
+    with at most 4 settings go first. The stack is validated once.
     """
+    _check_parties(system, ancilla)
     n = system.n_qubits
-    pairs = _pair_major(assemble(system, ancilla), n)
+    check_qubits(2 * n)
     shape = _setting_shape(per_party_settings, n)
     order = sorted(range(n), key=lambda k: shape[k] > 4)
     for j, k in enumerate(order):
-        u = np.array([olt_unitary(s) for s in per_party_settings[k]]).reshape(-1, 2, 2, 4)
-        traced = np.einsum("mstb,mutd->msubd", u, u.conj()).reshape(-1, 2, 2, 16)
-        # the uncontracted parties' pair axes lead, in party order; contracted axes trail
-        pairs = np.tensordot(pairs, traced, axes=([sum(i < k for i in order[j:])], [3]))
+        u = np.array([olt_unitary(s) for s in per_party_settings[k]]).reshape(-1, 2, 2, 2, 2)
+        traced = np.einsum("mstbc,mutde->msubdce", u, u.conj()).reshape(-1, 2, 2, 4, 4)
+        if j == 0:
+            pairs = np.tensordot(_party_pairs(ancilla.matrix, n), traced, axes=([k], [4]))
+            pairs = np.tensordot(_party_pairs(system.matrix, n), pairs, axes=([k], [-1]))
+            continue
+        # uncontracted parties' system pairs lead, then their ancilla pairs; (m, s, s') trail
+        at = sum(i < k for i in order[j:])
+        pairs = np.tensordot(pairs, traced, axes=([at, n - j + at], [3, 4]))
     pairs = pairs.transpose([3 * order.index(k) + c for c in range(3) for k in range(n)])
-    pairs = pairs.reshape(shape + (2**n, 2**n))
-    return validate_density(pairs)
+    return validate_density(pairs.reshape(shape + (2**n, 2**n)))
 
 
 def flip_distribution(

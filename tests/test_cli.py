@@ -254,9 +254,9 @@ class TestRun:
         code, out = run_cli(["run", str(SCENARIOS / "mermin_ghz.txt")])
         assert code == 0
         assert out.count("  setting (") == 8
-        assert len(assembled) == 1
+        assert len(assembled) == 0  # the register system (x) ancilla is never written out
         assert len(tested) == 1  # one PPT test of the whole stack of reduced states
-        assert (64, 64) not in validated  # the assembled register is a state by construction
+        assert (64, 64) not in validated
         # matrices validated per dimension, counted across the stacks: 8 reduced states (8);
         # no rotated register exists
         counted = {}
@@ -269,6 +269,9 @@ class TestRun:
         [
             ((2, 5, 8), "classical_correlated:3", "ghz:3,0.6+0.8i"),
             ((2, 2, 2, 2), "basis:0110", "ghz:4,i"),
+            # the first party contracted is not party 0; every party has more than 4 settings
+            ((5, 1, 2), "classical_correlated:3", "ghz:3,i"),
+            ((5, 6), "basis:01", "ghz:2,0.6+0.8i"),
         ],
     )
     def test_stack_matches_per_combination_reference(self, tmp_path, monkeypatch, shape, system, ancilla):
@@ -286,8 +289,7 @@ class TestRun:
         )
         code, out = run_cli(["run", write(tmp_path, "custom.txt", text)])
         assert code == 0
-        # no 4^N-dim matrix is validated: the assembled register is a state by construction,
-        # and no rotated register exists
+        # no 4^N-dim matrix is validated: no register, rotated or not, is built
         assert [s for s in validated if s[-1] == 4**n] == []
         (states,) = stacks
         assert states.matrix.shape == shape + (2**n, 2**n)
@@ -508,6 +510,18 @@ class TestVerify:
         code, out = run_cli(["verify", "--parties", "3", "--trials", "4"])
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
+
+    def test_state_only_mutation_prints_the_failing_deviation(self, monkeypatch):
+        # reversed flip weights corrupt the reduced states but not the correlators
+        original = oltsim.protocol.flip_distribution
+        monkeypatch.setattr(
+            oltsim.protocol, "flip_distribution", lambda *args: original(*args)[..., ::-1]
+        )
+        code, out = run_cli(["verify", "--parties", "2", "--trials", "4"])
+        assert code == 1
+        *_, deviation, verdict = out.splitlines()
+        assert float(deviation.split(" = ")[1]) > 1e-10
+        assert verdict == "FAIL"
 
     def test_negative_seed_exit(self, capsys):
         code, out = run_cli(["verify", "--parties", "2", "--trials", "1", "--seed", "-1"])

@@ -245,6 +245,19 @@ class TestReducedStates:
             tracemalloc.stop()
         assert peak < 4 * 16 * 4**10
 
+    def test_five_party_peak_stays_below_one_register(self):
+        # the 10-qubit register system (x) ancilla, 16 MiB, is never written out
+        rng = np.random.default_rng(43)
+        system, ancilla = random_density(rng, 5), random_density(rng, 5)
+        lists = [[random_setting(rng)] for _ in range(5)]
+        tracemalloc.start()
+        try:
+            reduced_states(system, ancilla, lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**10
+
 
 class TestFlipMixtures:
     def test_distribution_is_rotated_ancilla_diagonal(self):
