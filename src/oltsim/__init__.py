@@ -30,10 +30,6 @@ from .gates import (
     SO2,
     SU2,
     AngleSetting,
-    Z_TO_X_SETTING,
-    Z_TO_Y_SETTING,
-    cnot,
-    embed,
     olt_unitary,
     parse_angle,
     parse_setting,
@@ -41,17 +37,11 @@ from .gates import (
     rotation,
     rotation_so2,
 )
-from .linalg import dag, kron_all, partial_trace
+from .linalg import dag
 from .protocol import (
     StabilizerResult,
-    apply_olts,
-    assemble,
-    correlation_direct,
-    correlation_factorized,
     correlator_table,
-    reduced_system,
     stabilizer_eigenvalue,
-    z_string,
 )
 from .scenario import Scenario, ScenarioError, format_scenario, load_scenario, parse_scenario
 from .states import (
@@ -81,22 +71,13 @@ __all__ = [
     "SU2",
     "StabilizerResult",
     "ViolationReport",
-    "Z_TO_X_SETTING",
-    "Z_TO_Y_SETTING",
-    "apply_olts",
-    "assemble",
     "check_final_state_form",
     "classical_bound",
     "closed_form_final_ket",
-    "cnot",
-    "correlation_direct",
-    "correlation_factorized",
     "correlator_table",
     "dag",
-    "embed",
     "evaluate",
     "format_scenario",
-    "kron_all",
     "load_scenario",
     "make_basis_state",
     "make_bell_state",
@@ -112,17 +93,14 @@ __all__ = [
     "parse_scenario",
     "parse_setting",
     "parse_state_spec",
-    "partial_trace",
     "partial_transpose",
     "pauli",
     "persistency_scan",
     "ppt_separable",
-    "reduced_system",
     "rotation",
     "rotation_so2",
     "stabilizer_eigenvalue",
     "validate_density",
     "verify_factorization",
     "violation_report",
-    "z_string",
 ]

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import BellFunctional, evaluate
-from .gates import SO2, SU2, AngleSetting, setting_from_bloch
+from .gates import SO2, SU2, AngleSetting, olt_unitary, setting_from_bloch
 from .linalg import _LETTERS, ATOL, dag
 from .protocol import (
     _check_parties,
-    apply_olts,
-    assemble,
     correlation_tensor,
     correlator_table,
     flip_mixtures,
@@ -33,7 +31,6 @@ from .protocol import (
 )
 from .states import (
     DensityMatrix,
-    make_basis_state,
     make_bell_state,
     make_classical_correlated,
     validate_density,
@@ -288,11 +285,17 @@ def closed_form_final_ket(theta_a: float, theta_b: float) -> np.ndarray:
 
 
 def check_final_state_form(theta_a: float, theta_b: float) -> float:
-    """Fidelity of the simulated 4-qubit state against the closed-form ket."""
-    settings = [AngleSetting.so2(theta_a), AngleSetting.so2(theta_b)]
-    register = apply_olts(assemble(make_basis_state("00"), make_bell_state("phi+")), settings)
-    ket = closed_form_final_ket(theta_a, theta_b)
-    return float((ket.conj() @ register.matrix @ ket).real)
+    """Fidelity |<ket|psi>|^2 of the simulated pure state psi against the closed-form ket.
+
+    psi starts as |00> (x) phi+, a (2, 2, 2, 2) ket over (a, b, a', b'); each party's
+    gate acts by one `tensordot` on its own (system, ancilla) axes.
+    """
+    psi = np.zeros((2, 2, 2, 2), dtype=complex)
+    psi[0, 0, 0, 0] = psi[0, 0, 1, 1] = 1 / math.sqrt(2)
+    for k, theta in enumerate((theta_a, theta_b)):
+        u = olt_unitary(AngleSetting.so2(theta)).reshape(2, 2, 2, 2)
+        psi = np.moveaxis(np.tensordot(u, psi, axes=([2, 3], [k, k + 2])), (0, 1), (k, k + 2))
+    return float(abs(np.vdot(closed_form_final_ket(theta_a, theta_b), psi)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ def evaluate(functional: BellFunctional, table: np.ndarray) -> float:
             f"functional shape {functional.settings_per_party}"
         )
     worst = float(np.max(np.abs(t)))
-    if worst > 1.0 + ATOL:
-        raise ValueError(f"correlator magnitude {worst:.12g} exceeds 1")
+    if not worst <= 1.0 + ATOL:  # NaN fails it too
+        raise ValueError(f"correlator magnitude {worst:.12g} exceeds 1: correlators lie in [-1, 1]")
     return float(np.sum(functional.coefficients * t))
 
 
@@ -156,6 +156,8 @@ def parse_functional_spec(text: str) -> BellFunctional:
             coeffs = np.array([float(v) for v in coeff_text.split(",")])
         except ValueError as exc:
             raise ValueError(f"cannot parse custom functional {text!r}: {exc}") from exc
+        if any(m < 1 for m in shape):
+            raise ValueError(f"every party needs at least one setting, got shape {shape_text}")
         expected = int(np.prod(shape)) if shape else 0
         if len(coeffs) != expected:
             raise ValueError(

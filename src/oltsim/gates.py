@@ -1,6 +1,5 @@
 """Gate construction: Pauli operators, planar and full single-qubit rotations,
-the ancilla-controlled NOT, the per-party two-qubit transformation built from
-them, and embedding of gates onto arbitrary qubits of a register.
+and the per-party two-qubit transformation built from them.
 """
 
 from __future__ import annotations
@@ -125,34 +124,10 @@ def observables_from_bloch(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("mk,kij->mij", vectors, PAULIS)
 
 
-# Euler triples whose rotations conjugate diag(1,-1) onto the x and y Pauli
-# matrices (R* z R = x resp. y). The defining property is asserted in tests
-# rather than trusted; any z-rotation prepended to them leaves the target
-# unchanged, which the protocol tests check explicitly.
-Z_TO_X_SETTING = AngleSetting.su2(0.0, math.pi / 2, math.pi)
-Z_TO_Y_SETTING = AngleSetting.su2(0.0, math.pi / 2, math.pi / 2)
-
-
-def cnot() -> np.ndarray:
-    """Controlled NOT on a (system, ancilla) qubit pair, control = ancilla.
-
-    Maps |00> -> |00>, |01> -> |11>, |10> -> |10>, |11> -> |01>; self-inverse.
-    """
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-        ],
-        dtype=complex,
-    )
-
-
 def olt_unitary(setting: AngleSetting) -> np.ndarray:
-    """Two-qubit transformation on (system, ancilla): CNOT after rotating the ancilla.
+    """Two-qubit transformation on (system, ancilla): a CNOT, ancilla controls, after I (x) rotation.
 
-    Equals cnot() @ kron(I, rotation(setting)) in either mode, which tests assert.
+    Equals CNOT @ kron(I, rotation(setting)) in either mode, which tests assert.
     """
     r = rotation(setting)
     u = np.zeros((4, 4), dtype=complex)

@@ -8,7 +8,6 @@ label. Registers stay small (at most ~12 qubits), so everything is dense.
 from __future__ import annotations
 
 import string
-from functools import reduce
 
 import numpy as np
 
@@ -36,14 +35,6 @@ def n_qubits_of(m: np.ndarray) -> int:
     if d < 2 or d & (d - 1) != 0:
         raise ValueError(f"operator dimension must be a power of two >= 2, got {d}")
     return d.bit_length() - 1
-
-
-def kron_all(ops) -> np.ndarray:
-    """Tensor product of a sequence of operators, left to right."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("kron_all needs at least one operator")
-    return reduce(np.kron, ops)
 
 
 def partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:

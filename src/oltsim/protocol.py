@@ -9,7 +9,9 @@ never writing out the register system (x) ancilla; the correlators are the
 `parity` of its stack of reduced states. The factorized route multiplies the
 system's `parity` by `table_from_observables`, the one contraction of the
 ancilla. The analysis module checks by randomized campaign that the two agree,
-and that each reduced state is the bit-flip mixture of `flip_mixtures`.
+and that each reduced state is the bit-flip mixture of `flip_mixtures`. The
+register chain `assemble` -> `apply_olts` -> `reduced_system` is not exported:
+it is the tests' reference route.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ def _parity_signs(n: int) -> np.ndarray:
     for _ in range(n):
         signs = np.concatenate([signs, -signs])
     return signs
-
-
-def z_string(n: int) -> np.ndarray:
-    """Parity observable on n qubits: tensor power of diag(1, -1)."""
-    return np.diag(_parity_signs(n)).astype(complex)
 
 
 def _check_parties(system: DensityMatrix, ancilla: DensityMatrix):

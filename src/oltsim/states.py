@@ -33,11 +33,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    @property
-    def purity(self) -> float | np.ndarray:
-        p = np.real(np.einsum("...ij,...ji->...", self.matrix, self.matrix))
-        return float(p) if p.ndim == 0 else p
-
 
 def validate_density(m: np.ndarray) -> DensityMatrix:
     """Wrap a matrix, or an (..., d, d) stack, as a DensityMatrix, naming the violated invariant.

@@ -12,13 +12,8 @@ import pytest
 
 from oltsim import (
     AngleSetting,
-    Z_TO_X_SETTING,
-    Z_TO_Y_SETTING,
-    apply_olts,
-    assemble,
     check_final_state_form,
     classical_bound,
-    cnot,
     correlator_table,
     evaluate,
     make_basis_state,
@@ -37,7 +32,9 @@ from oltsim import (
     violation_report,
 )
 from oltsim.gates import pauli
-from oltsim.protocol import parity, reduced_states
+from oltsim.protocol import apply_olts, assemble, parity, reduced_states
+
+from reference import CNOT, Z_TO_X, Z_TO_Y
 
 SQRT2 = math.sqrt(2)
 
@@ -85,7 +82,7 @@ def test_criterion_3_mermin_value():
     started = time.perf_counter()
     system = make_basis_state("000")
     ancilla = make_ghz(3, 1j)
-    settings = ((Z_TO_X_SETTING, Z_TO_Y_SETTING),) * 3
+    settings = ((Z_TO_X, Z_TO_Y),) * 3
     table = direct_table(system, ancilla, settings)
     value = evaluate(make_mermin3(), table)
     bound = classical_bound(make_mermin3())
@@ -112,9 +109,9 @@ def test_criterion_5_decomposition_identity():
     angles = list(rng.uniform(-2 * math.pi, 2 * math.pi, size=100)) + [0.0, math.pi / 2, math.pi]
     for theta in angles:
         lhs = olt_unitary(AngleSetting.so2(theta))
-        rhs = cnot() @ np.kron(identity2, rotation_so2(theta))
+        rhs = CNOT @ np.kron(identity2, rotation_so2(theta))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-    conj = cnot() @ np.kron(pauli(3), identity2) @ cnot()
+    conj = CNOT @ np.kron(pauli(3), identity2) @ CNOT
     assert np.array_equal(conj, np.kron(pauli(3), pauli(3)))
     report(5, "olt = cnot (I x R) within 1e-12; cnot z-conjugation exact", started)
 

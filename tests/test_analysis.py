@@ -11,12 +11,8 @@ import oltsim
 from oltsim import (
     AngleSetting,
     BellFunctional,
-    apply_olts,
-    assemble,
     check_final_state_form,
     closed_form_final_ket,
-    correlation_direct,
-    correlation_factorized,
     correlator_table,
     evaluate,
     make_basis_state,
@@ -30,13 +26,19 @@ from oltsim import (
     partial_transpose,
     persistency_scan,
     ppt_separable,
-    reduced_system,
     validate_density,
     verify_factorization,
 )
 from oltsim.analysis import random_density, random_setting
 from oltsim.gates import pauli
 from oltsim.linalg import partial_trace
+from oltsim.protocol import (
+    apply_olts,
+    assemble,
+    correlation_direct,
+    correlation_factorized,
+    reduced_system,
+)
 
 SQRT2 = math.sqrt(2)
 
@@ -283,8 +285,9 @@ class TestVerifyFactorization:
         for name, seen in calls.items():
             original = getattr(oltsim.protocol, name)
             counted = lambda *a, _f=original, _seen=seen: _seen.append(1) or _f(*a)
-            monkeypatch.setattr(oltsim.protocol, name, counted)
-            monkeypatch.setattr(oltsim.analysis, name, counted)
+            for module in (oltsim.protocol, oltsim.analysis):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         dims = []
         validate = oltsim.states.validate_density
         for module in (oltsim.states, oltsim.protocol, oltsim.analysis):
@@ -320,6 +323,24 @@ class TestFinalStateForm:
         for _ in range(20):
             ta, tb = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
             assert check_final_state_form(ta, tb) >= 1 - 1e-10
+
+    def test_matches_the_register_chain(self):
+        # the pure-state simulation against rho = apply_olts(assemble(|00>, phi+)), <k|rho|k>
+        grid = np.linspace(-3 * math.pi, 3 * math.pi, 9)
+        for ta, tb in itertools.product(grid, grid):
+            register = apply_olts(assemble(make_basis_state("00"), make_bell_state("phi+")), so2(ta, tb))
+            ket = closed_form_final_ket(ta, tb)
+            chain = (ket.conj() @ register.matrix @ ket).real
+            assert check_final_state_form(ta, tb) == pytest.approx(chain, abs=1e-12)
+
+    def test_builds_no_register(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the final-state check must not build the 4-qubit register")
+
+        for module in (oltsim.protocol, oltsim.analysis):
+            for name in ("assemble", "apply_olts"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert check_final_state_form(1.3, -0.4) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduced_final_state_at_quarter_period(self):
         # tracing the ancilla pair out of the closed-form state at

@@ -10,18 +10,13 @@ import numpy as np
 import pytest
 
 import oltsim
-from oltsim import (
-    AngleSetting,
-    correlation_factorized,
-    embed,
-    olt_unitary,
-    parse_scenario,
-    partial_trace,
-    ppt_separable,
-    z_string,
-)
+from oltsim import AngleSetting, olt_unitary, parse_scenario, ppt_separable
 from oltsim.cli import SCENARIO_BEGIN, SCENARIO_END, main
-from oltsim.protocol import correlator_table, flip_mixtures, reduced_states
+from oltsim.gates import embed
+from oltsim.linalg import partial_trace
+from oltsim.protocol import correlation_factorized, correlator_table, flip_mixtures, reduced_states
+
+from reference import z_string
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -178,6 +173,14 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "coefficients must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["-2x-2", "-1x-4", "0x2"])
+    def test_non_positive_setting_count_rejected_before_any_output(self, tmp_path, capsys, shape):
+        text = CHSH_MAX.replace("functional = chsh", f"functional = custom:{shape}:1,2,3,4")
+        code, out = run_cli(["run", write(tmp_path, "counts.txt", text)])
+        assert code == 2
+        assert out == ""
+        assert "every party needs at least one setting" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "optimize"])
     def test_overflowing_coefficients_rejected_before_any_output(self, tmp_path, capsys, command):

@@ -190,6 +190,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="exceeds 1"):
             evaluate(make_chsh(), bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_correlator_rejected(self, bad):
+        message = r"^correlator magnitude (nan|inf) exceeds 1: correlators lie in \[-1, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(make_chsh(), np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            violation_report(make_chsh(), np.full((2, 2), bad))
+
     def test_linear_within_the_correlator_box(self):
         rng = np.random.default_rng(37)
         f = make_chsh()
@@ -251,3 +259,8 @@ class TestParseFunctionalSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_functional_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["custom:-2x-2:1,2,3,4", "custom:-1x-4:1,2,3,4", "custom:2x0:1"])
+    def test_rejects_non_positive_setting_count(self, spec):
+        with pytest.raises(ValueError, match="every party needs at least one setting"):
+            parse_functional_spec(spec)

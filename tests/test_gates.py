@@ -1,5 +1,5 @@
-"""Gate constructors: rotations, the controlled NOT, the per-party two-qubit
-transformation, embedding, and the angle grammar."""
+"""Gate constructors: rotations, the per-party two-qubit transformation,
+embedding, and the angle grammar; the CNOT oracle's defining properties."""
 
 import math
 
@@ -10,11 +10,8 @@ from oltsim import dag
 from oltsim.gates import (
     SO2,
     SU2,
-    Z_TO_X_SETTING,
-    Z_TO_Y_SETTING,
     AngleSetting,
     bloch_vectors,
-    cnot,
     embed,
     format_setting,
     observables_from_bloch,
@@ -26,6 +23,8 @@ from oltsim.gates import (
     rotation_so2,
     setting_from_bloch,
 )
+
+from reference import CNOT, Z_TO_X, Z_TO_Y
 
 I2 = np.eye(2, dtype=complex)
 
@@ -91,11 +90,11 @@ class TestRotationSu2:
             assert np.isclose(abs(np.linalg.det(u)), 1.0, atol=1e-12)
 
     def test_shipped_triple_reaches_x(self):
-        r = rotation(Z_TO_X_SETTING)
+        r = rotation(Z_TO_X)
         assert np.max(np.abs(dag(r) @ pauli(3) @ r - pauli(1))) < 1e-12
 
     def test_shipped_triple_reaches_y(self):
-        r = rotation(Z_TO_Y_SETTING)
+        r = rotation(Z_TO_Y)
         assert np.max(np.abs(dag(r) @ pauli(3) @ r - pauli(2))) < 1e-12
 
     def test_leading_z_rotation_leaves_target(self):
@@ -103,7 +102,7 @@ class TestRotationSu2:
         # conjugation target
         rng = np.random.default_rng(10)
         for gamma in rng.uniform(-7, 7, size=5):
-            for base, target in [(Z_TO_X_SETTING, pauli(1)), (Z_TO_Y_SETTING, pauli(2))]:
+            for base, target in [(Z_TO_X, pauli(1)), (Z_TO_Y, pauli(2))]:
                 shifted = AngleSetting.su2(base.angles[0] + gamma, *base.angles[1:])
                 r = rotation(shifted)
                 assert np.max(np.abs(dag(r) @ pauli(3) @ r - target)) < 1e-12
@@ -111,25 +110,24 @@ class TestRotationSu2:
 
 class TestCnot:
     def test_mapping_table(self):
-        c = cnot()
         kets = np.eye(4)
         # |00> -> |00>, |01> -> |11>, |10> -> |10>, |11> -> |01>
-        assert np.array_equal(c @ kets[:, 0], kets[:, 0])
-        assert np.array_equal(c @ kets[:, 1], kets[:, 3])
-        assert np.array_equal(c @ kets[:, 2], kets[:, 2])
-        assert np.array_equal(c @ kets[:, 3], kets[:, 1])
+        assert np.array_equal(CNOT @ kets[:, 0], kets[:, 0])
+        assert np.array_equal(CNOT @ kets[:, 1], kets[:, 3])
+        assert np.array_equal(CNOT @ kets[:, 2], kets[:, 2])
+        assert np.array_equal(CNOT @ kets[:, 3], kets[:, 1])
 
     def test_involution(self):
-        assert np.array_equal(cnot() @ cnot(), np.eye(4))
+        assert np.array_equal(CNOT @ CNOT, np.eye(4))
 
     def test_z_conjugation_identity(self):
-        lhs = cnot() @ np.kron(pauli(3), I2) @ cnot()
+        lhs = CNOT @ np.kron(pauli(3), I2) @ CNOT
         assert np.array_equal(lhs, np.kron(pauli(3), pauli(3)))
 
 
 class TestOltUnitary:
     def test_zero_angle_is_cnot(self):
-        assert np.array_equal(olt_unitary(AngleSetting.so2(0.0)), cnot())
+        assert np.array_equal(olt_unitary(AngleSetting.so2(0.0)), CNOT)
 
     def test_entries_at_half_pi(self):
         u = olt_unitary(AngleSetting.so2(math.pi / 2))
@@ -150,7 +148,7 @@ class TestOltUnitary:
         for theta in list(rng.uniform(-7, 7, size=100)) + [0.0, math.pi / 4, math.pi / 2, math.pi]:
             setting = AngleSetting.so2(theta)
             direct = olt_unitary(setting)
-            decomposed = cnot() @ np.kron(I2, rotation_so2(theta))
+            decomposed = CNOT @ np.kron(I2, rotation_so2(theta))
             assert np.max(np.abs(direct - decomposed)) < 1e-12
             # bit for bit the closed form with c, s = cos(t/2), sin(t/2)
             c, s = math.cos(setting.angles[0] / 2), math.sin(setting.angles[0] / 2)
@@ -162,7 +160,7 @@ class TestOltUnitary:
         for _ in range(50):
             setting = AngleSetting.su2(*rng.uniform(-7, 7, size=3))
             direct = olt_unitary(setting)
-            decomposed = cnot() @ np.kron(I2, rotation(setting))
+            decomposed = CNOT @ np.kron(I2, rotation(setting))
             assert np.max(np.abs(direct - decomposed)) < 1e-12
             assert_unitary(direct)
 
@@ -172,11 +170,11 @@ class TestEmbed:
         assert np.array_equal(embed(pauli(3), [0], 2), np.kron(pauli(3), I2))
 
     def test_identity_embedding(self):
-        assert np.array_equal(embed(cnot(), [0, 1], 2), cnot())
+        assert np.array_equal(embed(CNOT, [0, 1], 2), CNOT)
 
     def test_reordered_targets(self):
         # slots swapped: control is register qubit 0, target is qubit 1
-        u = embed(cnot(), [1, 0], 2)
+        u = embed(CNOT, [1, 0], 2)
         ket = np.zeros(4)
         ket[0b10] = 1.0
         out = u @ ket
@@ -201,11 +199,11 @@ class TestEmbed:
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
-            embed(cnot(), [0, 0], 2)
+            embed(CNOT, [0, 0], 2)
         with pytest.raises(ValueError, match="out of range"):
-            embed(cnot(), [0, 2], 2)
+            embed(CNOT, [0, 2], 2)
         with pytest.raises(ValueError, match="target"):
-            embed(cnot(), [0], 2)
+            embed(CNOT, [0], 2)
 
 
 class TestAngleSetting:

@@ -1,10 +1,9 @@
-"""Tensor-core operations: products and partial traces."""
+"""Tensor-core operations: partial traces."""
 
 import numpy as np
 import pytest
 
-from oltsim import dag, kron_all, partial_trace
-from oltsim.gates import pauli
+from oltsim.linalg import dag, partial_trace
 from oltsim.states import make_bell_state, make_werner
 
 I2 = np.eye(2, dtype=complex)
@@ -13,40 +12,6 @@ I2 = np.eye(2, dtype=complex)
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return g + dag(g)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron_all([I2, I2]), np.eye(4))
-
-    def test_diagonal_product(self):
-        assert np.array_equal(kron_all([pauli(3), pauli(3)]), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_x_with_z_block_structure(self):
-        # expanded by hand from the definition: off-diagonal blocks carry z
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 2:4] = pauli(3)
-        expected[2:4, 0:2] = pauli(3)
-        assert np.array_equal(kron_all([pauli(1), pauli(3)]), expected)
-
-    def test_associative_and_trace_multiplicative(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = random_hermitian(rng, 2)
-            b = random_hermitian(rng, 4)
-            c = random_hermitian(rng, 2)
-            left = kron_all([kron_all([a, b]), c])
-            right = kron_all([a, kron_all([b, c])])
-            assert np.allclose(left, right, atol=1e-12)
-            assert np.allclose(kron_all([a, b, c]), left, atol=1e-12)
-            assert np.isclose(np.trace(kron_all([a, b])), np.trace(a) * np.trace(b), atol=1e-9)
-
-    def test_bilinear(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        left, right = kron_all([a + 2 * b, c]), kron_all([c, a + 2 * b])
-        assert np.allclose(left, kron_all([a, c]) + 2 * kron_all([b, c]), atol=1e-12)
-        assert np.allclose(right, kron_all([c, a]) + 2 * kron_all([c, b]), atol=1e-12)
 
 
 class TestPartialTrace:
@@ -99,8 +64,3 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="expected 4x4 matrices for n=2"):
             partial_trace(np.zeros((3, 4, 8), dtype=complex), {0}, 2)
 
-
-def test_kron_all_chain():
-    assert np.array_equal(kron_all([pauli(3)] * 2), np.diag([1, -1, -1, 1]).astype(complex))
-    with pytest.raises(ValueError):
-        kron_all([])

@@ -12,8 +12,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from oltsim.analysis import random_density, random_setting  # noqa: E402
 from oltsim.gates import SO2, SU2, AngleSetting, pauli, rotation  # noqa: E402
-from oltsim.linalg import kron_all  # noqa: E402
 from oltsim.protocol import flip_mixtures, reduced_states  # noqa: E402
+
+from reference import kron_all  # noqa: E402
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oltsim.states
-from oltsim import kron_all, partial_trace, validate_density
 from oltsim.gates import pauli
+from oltsim.linalg import partial_trace
 from oltsim.states import (
     MAX_QUBITS,
     check_qubits,
@@ -17,11 +17,10 @@ from oltsim.states import (
     make_ghz,
     make_werner,
     parse_state_spec,
+    validate_density,
 )
 
-
-def zz(n):
-    return kron_all([pauli(3)] * n)
+from reference import z_string
 
 
 class TestBasisState:
@@ -58,7 +57,7 @@ class TestClassicalCorrelated:
 
     def test_parity_eigenvalue_plus_one(self):
         rho = make_classical_correlated(2)
-        assert np.trace(zz(2) @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(z_string(2) @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ class TestWerner:
 
     @pytest.mark.parametrize("p", np.linspace(0, 1, 11))
     def test_parity_is_minus_p(self, p):
-        assert np.trace(zz(2) @ make_werner(p).matrix).real == pytest.approx(-p, abs=1e-12)
+        assert np.trace(z_string(2) @ make_werner(p).matrix).real == pytest.approx(-p, abs=1e-12)
 
 
 class TestGhz:
@@ -215,11 +214,6 @@ class TestValidateDensity:
         ]:
             again = validate_density(dm.matrix)
             assert again.n_qubits == dm.n_qubits
-
-    def test_stack_purity_per_state(self):
-        stack = validate_density(np.array([make_werner(0.0).matrix, make_bell_state("psi+").matrix]))
-        assert np.allclose(stack.purity, [0.25, 1.0], atol=1e-12)
-        assert type(make_werner(0.5).purity) is float
 
     def test_matrix_is_read_only(self):
         dm = make_werner(0.5)
